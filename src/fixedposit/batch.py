@@ -1,19 +1,42 @@
-"""Vectorized NumPy mirrors of the scalar codec and datapath multiplier.
+"""Vectorized NumPy paths for conversion sweeps and multiply-substituted workloads.
 
-These exist so conversion sweeps and multiply-substituted workloads run in
-array passes instead of per-scalar Python calls.  They implement the same
-algorithms as the scalar functions and are pinned to them by exhaustive
-small-width and sampled 32-bit equivalence tests.  Carrier is int64, which
-limits batch formats to n <= 32 (plenty for every stock configuration).
+Two paths live here, so sweeps and workloads run in array passes instead of
+per-scalar Python calls.
+
+*Value domain* (``mul_binary32_batch``, ``mul_float32_batch``).  Over its
+scale window a fixed-posit format holds exactly the binary numbers with ``f``
+fraction bits: scales saturate at both ends, there are no subnormals, and
+``+-2**min_scale``, whose pattern would be the zero word, is nudged one ulp
+up.  A substituted binary32 multiply is therefore ``Q(Q(a) * Q(b))`` in
+binary64, where ``Q`` rounds to nearest-even at ``f`` fraction bits and
+saturates.  Every step is exact: a binary32 operand has at most 24
+significant bits and so has ``Q(a)``; the product has at most 48 bits and a
+magnitude within ``2**+-260``, so it is a binary64 normal; ``Q`` of it keeps
+``f + 1 <= 31`` bits (``n <= 32`` gives ``f <= 30``).  The final cast to
+binary32 is then the one correct rounding ``to_binary32`` performs,
+subnormal outputs and overflow to infinity included.
+
+*Word level* (``from_binary32_batch``, ``to_binary64_batch``,
+``to_binary32_batch``, ``mul_batch``).  Mirrors of the scalar codec and of
+``mul_datapath`` over int64 word patterns.  The sweeps use the codec
+functions; ``mul_batch`` is pinned to ``mul_datapath`` exhaustively and is
+the reference the value path is tested against.
+
+Both paths are pinned to the scalar functions by exhaustive small-width and
+sampled 32-bit equivalence tests.  The int64 word carrier limits batch
+formats to n <= 32 (plenty for every stock configuration).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .formats import FixedPositFormat, scale_range
 
 _I64 = np.int64
+_QNAN32 = 0x7FC00000  # NaR as binary32
 
 
 def _check_fmt(fmt: FixedPositFormat) -> None:
@@ -117,34 +140,15 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
 
 
 def to_binary32_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Vector version of codec.to_binary32; returns int64 bit patterns."""
-    _check_fmt(fmt)
-    w = np.asarray(words).astype(_I64)
-    n, f = fmt.n, fmt.fraction_bits
-    sign, mag = _split_sign(w, fmt)
-    _, _, significand, scale = _decode_fields(mag, fmt)
-    s_bit = sign << 31
+    """Vector version of codec.to_binary32; returns int64 bit patterns.
 
-    # Normal path: round to a 24-bit significand.
-    sig24 = _rne_shift_right(significand, f - 23) if f > 23 else significand << (23 - f)
-    carried = sig24 >> 24
-    sig24 = np.where(carried == 1, sig24 >> 1, sig24)
-    nscale = scale + carried
-    normal = s_bit | ((nscale + 127) << 23) | (sig24 & 0x7FFFFF)
-    normal = np.where(nscale > 127, s_bit | 0x7F800000, normal)
-
-    # Subnormal path: round onto the 2**-149 grid.
-    sub_drop = f - scale - 149
-    left = np.clip(-sub_drop, 0, 62)
-    mantissa = np.where(
-        sub_drop > 0, _rne_shift_right(significand, sub_drop), significand << left
-    )
-    subnormal = s_bit | mantissa
-
-    bits = np.where(scale >= -126, normal, subnormal)
-    bits = np.where(w == 0, 0, bits)
-    bits = np.where(w == (1 << (n - 1)), 0x7FC00000, bits)
-    return bits
+    A word's binary64 value is exact for n <= 32, or already beyond binary32's
+    overflow or underflow when its scale leaves binary64's range, so one
+    correctly rounded cast gives ``to_binary32``'s result.
+    """
+    with np.errstate(over="ignore"):
+        value = to_binary64_batch(words, fmt).astype(np.float32)
+    return value.view(np.uint32).astype(_I64)
 
 
 def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
@@ -177,20 +181,68 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     return words
 
 
-def mul_binary32_batch(
-    fmt: FixedPositFormat, a_bits: np.ndarray, b_bits: np.ndarray
-) -> np.ndarray:
-    """Substituted binary32 multiply over arrays of bit patterns."""
-    wa = from_binary32_batch(a_bits, fmt)
-    wb = from_binary32_batch(b_bits, fmt)
-    return to_binary32_batch(mul_batch(wa, wb, fmt), fmt)
+def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
+    """Round finite or NaN binary64 values in place to the nearest value of ``fmt``.
+
+    Ties go to even.  Magnitudes past the largest value saturate to it, and
+    nonzero magnitudes at or below ``2**min_scale`` become the smallest.
+    """
+    f = fmt.fraction_bits
+    drop = 52 - f
+    bits = x.view(np.uint64)
+    # Adding half an ulp less one, plus the kept lsb, then truncating is RNE;
+    # a carry into the exponent field is the correct rounding up.
+    step = bits >> np.uint64(drop)
+    step &= np.uint64(1)
+    step += np.uint64((1 << (drop - 1)) - 1)
+    bits += step
+    bits &= ~np.uint64((1 << drop) - 1)
+
+    rng = scale_range(fmt)
+    # Values reaching here lie within 2**+-260, so a window wider than
+    # 2**+-1000 saturates nothing; clamping keeps its bounds finite.
+    lo, hi = max(rng.min_scale, -1000), min(rng.max_scale, 1000)
+    minpos = math.ldexp(1.0 + 2.0**-f, lo)
+    maxpos = math.ldexp(2.0 - 2.0**-f, hi)
+    mag = np.abs(x, out=step.view(np.float64))  # reuses the rounding buffer
+    under = mag <= math.ldexp(1.0, lo)
+    under &= mag > 0
+    x[under] = np.copysign(minpos, x[under])
+    np.clip(x, -maxpos, maxpos, out=x)
+    return x
+
+
+def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
+    """Binary64 value of ``from_binary32`` of each binary32 operand; NaR is NaN."""
+    with np.errstate(invalid="ignore"):  # widening a signalling NaN flags invalid
+        x = x32.astype(np.float64)
+    exp_field = x32.view(np.uint32) & np.uint32(0x7F800000)
+    x[exp_field == 0] = 0.0  # zeros and subnormals flush
+    x[exp_field == 0x7F800000] = np.nan  # one NaN pattern, safe to round
+    return _quantize(x, fmt)
 
 
 def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Substituted multiply over float32 arrays (any broadcastable shapes)."""
+    _check_fmt(fmt)
     a32, b32 = np.broadcast_arrays(np.asarray(a, np.float32), np.asarray(b, np.float32))
-    shape = a32.shape
-    a_bits = np.ascontiguousarray(a32).view(np.uint32).ravel()
-    b_bits = np.ascontiguousarray(b32).view(np.uint32).ravel()
-    out_bits = mul_binary32_batch(fmt, a_bits, b_bits).astype(np.uint32)
-    return out_bits.view(np.float32).reshape(shape)
+    product = _operand(a32, fmt)
+    product *= _operand(b32, fmt)
+    _quantize(product, fmt)
+    product += 0.0  # word 0 is +0, never -0
+    with np.errstate(over="ignore"):
+        out = product.astype(np.float32)
+    out.view(np.uint32)[np.isnan(out)] = _QNAN32  # NaN sign and payload vary by platform
+    return out
+
+
+def _bits_to_float32(bits: np.ndarray) -> np.ndarray:
+    return (np.asarray(bits).astype(_I64) & 0xFFFFFFFF).astype(np.uint32).view(np.float32)
+
+
+def mul_binary32_batch(
+    fmt: FixedPositFormat, a_bits: np.ndarray, b_bits: np.ndarray
+) -> np.ndarray:
+    """Substituted binary32 multiply over arrays of bit patterns (int64 out)."""
+    out = mul_float32_batch(fmt, _bits_to_float32(a_bits), _bits_to_float32(b_bits))
+    return out.view(np.uint32).astype(_I64)

@@ -257,7 +257,8 @@ def test_conversion_error_half_ulp_bound_sampled():
 
 
 def test_batch_matches_scalar_exhaustively_small():
-    for fmt in (F822, FixedPositFormat(10, 3, 2)):
+    # (11,7,2) spans scales [-256, 255]: binary32 subnormals, underflow and overflow.
+    for fmt in (F822, FixedPositFormat(10, 3, 2), FixedPositFormat(11, 7, 2)):
         patterns = np.arange(1 << fmt.n)
         words = [PositWord(int(b), fmt) for b in patterns]
         scalar64 = np.array([to_binary64(w) for w in words])
