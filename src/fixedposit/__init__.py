@@ -10,11 +10,9 @@ workload kernels.
 __version__ = "0.1.0"
 
 from .codec import (
-    NEAREST_EVEN,
     DecodedNumber,
     NumberClass,
     PositWord,
-    RoundingMode,
     bits32_to_float,
     decode,
     encode,
@@ -34,14 +32,11 @@ from .formats import (
     enumerate_ieee_equivalent,
     parse_fixed_posit,
     scale_range,
-    validate,
 )
 from .metrics import (
     ErrorReport,
-    ExcludedSample,
     error_report,
     psnr_db,
-    relative_error_pct,
     rmse,
     sweep_conversion_error,
 )
@@ -76,11 +71,9 @@ from .workloads import (
 
 __all__ = [
     "__version__",
-    "NEAREST_EVEN",
     "DecodedNumber",
     "NumberClass",
     "PositWord",
-    "RoundingMode",
     "bits32_to_float",
     "decode",
     "encode",
@@ -98,12 +91,9 @@ __all__ = [
     "enumerate_ieee_equivalent",
     "parse_fixed_posit",
     "scale_range",
-    "validate",
     "ErrorReport",
-    "ExcludedSample",
     "error_report",
     "psnr_db",
-    "relative_error_pct",
     "rmse",
     "sweep_conversion_error",
     "DatapathTrace",

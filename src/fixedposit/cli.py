@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .codec import (
@@ -147,18 +148,7 @@ def cmd_mul(args: argparse.Namespace) -> int:
         "result": _describe_word(wc),
     }
     if args.trace_datapath and trace is not None:
-        entry["datapath_trace"] = {
-            "result_sign": trace.result_sign,
-            "k_a": trace.k_a,
-            "k_b": trace.k_b,
-            "shifted_k_a": trace.shifted_k_a,
-            "shifted_k_b": trace.shifted_k_b,
-            "exp_a": trace.exp_a,
-            "exp_b": trace.exp_b,
-            "carry": trace.carry,
-            "raw_scale": trace.raw_scale,
-            "fraction_field": trace.fraction_field,
-        }
+        entry["datapath_trace"] = asdict(trace)
     report["results"].append(entry)
     if not args.json:
         shown = "NaR" if entry["result"]["class"] == "nar" else entry["result"]["value"]
@@ -182,7 +172,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for fmt in formats:
         err = sweep_conversion_error(fmt, args.samples, args.seed, args.dist)
         entry = {"kind": "error_report", "format": _fmt_triple(fmt)}
-        entry.update(err.to_dict())
+        entry.update(asdict(err))
         report["results"].append(entry)
     if not args.json:
         print(f"{'format':>12} {'max rel err %':>16} {'mean rel err %':>16}")

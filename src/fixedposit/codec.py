@@ -18,13 +18,6 @@ from fractions import Fraction
 from .formats import FixedPositFormat, PositFormat, scale_range
 
 
-class RoundingMode(Enum):
-    NEAREST_EVEN = "nearest-even"
-
-
-NEAREST_EVEN = RoundingMode.NEAREST_EVEN
-
-
 class NumberClass(Enum):
     ZERO = "zero"
     NAR = "nar"
@@ -156,12 +149,7 @@ def decode(w: PositWord) -> DecodedNumber:
 
 
 def encode(
-    sign: int,
-    scale: int,
-    significand_num: int,
-    significand_den_log2: int,
-    fmt: FixedPositFormat,
-    rm: RoundingMode = NEAREST_EVEN,
+    sign: int, scale: int, significand_num: int, significand_den_log2: int, fmt: FixedPositFormat
 ) -> PositWord:
     """Round and pack sign * (num / 2**den_log2) * 2**scale into a word.
 
@@ -198,9 +186,7 @@ def encode(
     return PositWord(bits, fmt)
 
 
-def from_binary32(
-    x_bits: int, fmt: FixedPositFormat, rm: RoundingMode = NEAREST_EVEN
-) -> PositWord:
+def from_binary32(x_bits: int, fmt: FixedPositFormat) -> PositWord:
     """Convert a binary32 bit pattern to a fixed-posit word.
 
     Zeros and subnormals flush to the zero word; NaN and infinities map to NaR.
@@ -212,7 +198,7 @@ def from_binary32(
         return zero_word(fmt)
     sign = -1 if x_bits >> 31 else 1
     significand = (1 << 23) | (x_bits & 0x7FFFFF)
-    return encode(sign, exp_field - 127, significand, 23, fmt, rm)
+    return encode(sign, exp_field - 127, significand, 23, fmt)
 
 
 def to_binary64(w: PositWord) -> float:
@@ -246,7 +232,7 @@ def pack_binary32(sign: int, scale: int, significand: int, fraction_bits: int) -
     return s_bit | mantissa  # mantissa == 2**23 lands on the smallest normal
 
 
-def to_binary32(w: PositWord, rm: RoundingMode = NEAREST_EVEN) -> int:
+def to_binary32(w: PositWord) -> int:
     """Correctly-rounded binary32 bit pattern of a word; NaR becomes a quiet NaN."""
     d = decode(w)
     if d.is_zero:

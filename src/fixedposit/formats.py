@@ -23,12 +23,6 @@ class ScaleRange:
         if self.min_scale > self.max_scale:
             raise ValueError(f"empty scale range [{self.min_scale}, {self.max_scale}]")
 
-    def __contains__(self, scale: int) -> bool:
-        return self.min_scale <= scale <= self.max_scale
-
-    def covers(self, other: "ScaleRange") -> bool:
-        return self.min_scale <= other.min_scale and self.max_scale >= other.max_scale
-
 
 @dataclass(frozen=True, slots=True)
 class FixedPositFormat:
@@ -77,14 +71,6 @@ class PositFormat:
 
     def __str__(self) -> str:
         return f"({self.n},{self.es})"
-
-
-def validate(n: int, es: int, rs: int) -> FixedPositFormat:
-    """Check an (n, es, rs) triple and return the corresponding format.
-
-    Raises ValueError for configurations without at least one fraction bit.
-    """
-    return FixedPositFormat(n, es, rs)
 
 
 def scale_range(fmt: FixedPositFormat) -> ScaleRange:

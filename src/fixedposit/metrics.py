@@ -15,10 +15,6 @@ PSNR_CAP_DB = 100.0
 DISTRIBUTIONS = ("log-uniform", "uniform-real")
 
 
-class ExcludedSample(Exception):
-    """Raised when a sample cannot contribute a relative error (zero or non-finite reference)."""
-
-
 @dataclass(frozen=True, slots=True)
 class ErrorReport:
     """Aggregated error statistics for a sweep or a workload comparison."""
@@ -29,23 +25,6 @@ class ErrorReport:
     rmse: float
     psnr_db: float | None = None
     skipped: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "max_rel_err_pct": self.max_rel_err_pct,
-            "mean_rel_err_pct": self.mean_rel_err_pct,
-            "rmse": self.rmse,
-            "psnr_db": self.psnr_db,
-            "skipped": self.skipped,
-        }
-
-
-def relative_error_pct(reference: float, approximation: float) -> float:
-    """100 * |x - x'| / |x| for a nonzero finite reference x."""
-    if reference == 0 or not math.isfinite(reference):
-        raise ExcludedSample(f"reference {reference!r} cannot anchor a relative error")
-    return 100.0 * abs(reference - approximation) / abs(reference)
 
 
 def rmse(reference, approximation) -> float:
@@ -74,11 +53,11 @@ def psnr_db(reference, approximation, peak: float = 255.0) -> float:
 
 
 def error_report(reference, approximation, psnr_peak: float | None = None) -> ErrorReport:
-    """Elementwise relative-error aggregation over vector outputs.
+    """Elementwise relative error ``100 * |x - x'| / |x|``, aggregated.
 
-    Elements whose reference is zero or non-finite are excluded from the
-    relative-error statistics and counted in ``skipped``; RMSE still covers
-    every element.
+    Elements whose reference is zero or non-finite (NaN included) are
+    excluded from the relative-error statistics and counted in ``skipped``;
+    RMSE still includes every element.
     """
     ref = np.asarray(reference, dtype=np.float64).ravel()
     approx = np.asarray(approximation, dtype=np.float64).ravel()
@@ -87,7 +66,10 @@ def error_report(reference, approximation, psnr_peak: float | None = None) -> Er
     if ref.size == 0:
         raise ValueError("need at least one sample")
     usable = np.isfinite(ref) & (ref != 0)
-    rel = 100.0 * np.abs(ref[usable] - approx[usable]) / np.abs(ref[usable])
+    kept_ref, kept_approx = ref, approx
+    if not usable.all():  # a boolean index copies, so skip it when nothing is excluded
+        kept_ref, kept_approx = ref[usable], approx[usable]
+    rel = 100.0 * np.abs(kept_ref - kept_approx) / np.abs(kept_ref)
     return ErrorReport(
         count=int(ref.size),
         max_rel_err_pct=float(rel.max()) if rel.size else 0.0,
@@ -131,12 +113,4 @@ def sweep_conversion_error(
     bits = _sample_binary32(rng, sample_count, distribution)
     reference = bits.astype(np.uint32).view(np.float32).astype(np.float64)
     roundtrip = to_binary64_batch(from_binary32_batch(bits, fmt), fmt)
-    rel = 100.0 * np.abs(reference - roundtrip) / np.abs(reference)
-    return ErrorReport(
-        count=sample_count,
-        max_rel_err_pct=float(rel.max()),
-        mean_rel_err_pct=float(rel.mean()),
-        rmse=float(np.sqrt(np.mean((reference - roundtrip) ** 2))),
-        psnr_db=None,
-        skipped=0,
-    )
+    return error_report(reference, roundtrip)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .codec import (
-    NEAREST_EVEN,
     PositWord,
-    RoundingMode,
     bits32_to_float,
     decode,
     encode,
@@ -172,18 +170,14 @@ def mul_reference(a: PositWord, b: PositWord) -> PositWord:
     return encode(da.sign * db.sign, scale, product, den_log2, fmt)
 
 
-def mul_binary32_bits(
-    fmt: FixedPositFormat, a_bits: int, b_bits: int, rm: RoundingMode = NEAREST_EVEN
-) -> int:
+def mul_binary32_bits(fmt: FixedPositFormat, a_bits: int, b_bits: int) -> int:
     """Substituted multiply on binary32 bit patterns: convert, multiply, convert back."""
-    wa = from_binary32(a_bits, fmt, rm)
-    wb = from_binary32(b_bits, fmt, rm)
-    return to_binary32(mul_datapath(wa, wb), rm)
+    wa = from_binary32(a_bits, fmt)
+    wb = from_binary32(b_bits, fmt)
+    return to_binary32(mul_datapath(wa, wb))
 
 
-def mul_binary32_via(
-    fmt: FixedPositFormat, rm: RoundingMode = NEAREST_EVEN
-) -> Callable[[float, float], float]:
+def mul_binary32_via(fmt: FixedPositFormat) -> Callable[[float, float], float]:
     """A drop-in replacement for binary32 multiplication routed through ``fmt``.
 
     The returned callable coerces its arguments to binary32, multiplies them
@@ -192,6 +186,6 @@ def mul_binary32_via(
     """
 
     def mul(a: float, b: float) -> float:
-        return bits32_to_float(mul_binary32_bits(fmt, float_to_bits32(a), float_to_bits32(b), rm))
+        return bits32_to_float(mul_binary32_bits(fmt, float_to_bits32(a), float_to_bits32(b)))
 
     return mul

@@ -14,11 +14,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .codec import (
-    NEAREST_EVEN,
     DecodedNumber,
     NumberClass,
     PositWord,
-    RoundingMode,
     bits32_to_float,
     float_to_bits32,
     nar_word,
@@ -106,12 +104,7 @@ def _encode_nearest_body(value: Fraction, fmt: PositFormat) -> int:
 
 
 def posit_encode(
-    sign: int,
-    scale: int,
-    significand_num: int,
-    significand_den_log2: int,
-    fmt: PositFormat,
-    rm: RoundingMode = NEAREST_EVEN,
+    sign: int, scale: int, significand_num: int, significand_den_log2: int, fmt: PositFormat
 ) -> PositWord:
     """Round and pack sign * (num / 2**den_log2) * 2**scale into a posit word.
 
@@ -150,9 +143,7 @@ def posit_encode(
     return PositWord(bits, fmt)
 
 
-def posit_from_binary32(
-    x_bits: int, fmt: PositFormat, rm: RoundingMode = NEAREST_EVEN
-) -> PositWord:
+def posit_from_binary32(x_bits: int, fmt: PositFormat) -> PositWord:
     """Convert a binary32 bit pattern to a posit word (subnormals flush to zero)."""
     exp_field = (x_bits >> 23) & 0xFF
     if exp_field == 0xFF:
@@ -161,10 +152,10 @@ def posit_from_binary32(
         return zero_word(fmt)
     sign = -1 if x_bits >> 31 else 1
     significand = (1 << 23) | (x_bits & 0x7FFFFF)
-    return posit_encode(sign, exp_field - 127, significand, 23, fmt, rm)
+    return posit_encode(sign, exp_field - 127, significand, 23, fmt)
 
 
-def posit_to_binary32(w: PositWord, rm: RoundingMode = NEAREST_EVEN) -> int:
+def posit_to_binary32(w: PositWord) -> int:
     """Correctly-rounded binary32 bit pattern of a posit word."""
     d = posit_decode(w)
     if d.is_zero:
@@ -174,12 +165,10 @@ def posit_to_binary32(w: PositWord, rm: RoundingMode = NEAREST_EVEN) -> int:
     return pack_binary32(d.sign, d.scale, d.significand, d.fraction_bits)
 
 
-def posit_mul_binary32_bits(
-    fmt: PositFormat, a_bits: int, b_bits: int, rm: RoundingMode = NEAREST_EVEN
-) -> int:
+def posit_mul_binary32_bits(fmt: PositFormat, a_bits: int, b_bits: int) -> int:
     """Substituted multiply on binary32 bit patterns via exact posit arithmetic."""
-    wa = posit_from_binary32(a_bits, fmt, rm)
-    wb = posit_from_binary32(b_bits, fmt, rm)
+    wa = posit_from_binary32(a_bits, fmt)
+    wb = posit_from_binary32(b_bits, fmt)
     if wa.is_nar or wb.is_nar:
         return 0x7FC00000
     if wa.is_zero or wb.is_zero:
@@ -192,18 +181,14 @@ def posit_mul_binary32_bits(
     if product >= 2 << den_log2:
         den_log2 += 1
         scale += 1
-    wc = posit_encode(da.sign * db.sign, scale, product, den_log2, fmt, rm)
-    return posit_to_binary32(wc, rm)
+    wc = posit_encode(da.sign * db.sign, scale, product, den_log2, fmt)
+    return posit_to_binary32(wc)
 
 
-def posit_mul_binary32_via(
-    fmt: PositFormat, rm: RoundingMode = NEAREST_EVEN
-) -> Callable[[float, float], float]:
+def posit_mul_binary32_via(fmt: PositFormat) -> Callable[[float, float], float]:
     """A binary32 multiply substitute routed through a standard posit format."""
 
     def mul(a: float, b: float) -> float:
-        return bits32_to_float(
-            posit_mul_binary32_bits(fmt, float_to_bits32(a), float_to_bits32(b), rm)
-        )
+        return bits32_to_float(posit_mul_binary32_bits(fmt, float_to_bits32(a), float_to_bits32(b)))
 
     return mul

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -65,13 +66,6 @@ def native_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def fixed_posit_mul(fmt: FixedPositFormat) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return mul_float32_batch(fmt, a, b)
-
-    return fn
-
-
 @dataclass(frozen=True, slots=True)
 class OperandTrace:
     """Recorded multiplier inputs: parallel arrays of binary32 bit patterns."""
@@ -91,7 +85,10 @@ class OperandTrace:
 
     @classmethod
     def load(cls, path) -> "OperandTrace":
-        packed = np.fromfile(path, dtype="<u4").reshape(-1, 2)
+        raw = np.fromfile(path, dtype=np.uint8)
+        if raw.size % 8:
+            raise ValueError(f"operand trace holds {raw.size} bytes, not a multiple of 8")
+        packed = raw.view("<u4").reshape(-1, 2)
         return cls(packed[:, 0].copy(), packed[:, 1].copy())
 
 
@@ -391,12 +388,6 @@ _KERNELS = {
 WORKLOAD_NAMES = tuple(_KERNELS)
 
 
-def default_size(name: str) -> int:
-    if name not in _KERNELS:
-        raise ValueError(f"unknown workload {name!r}; known: {', '.join(WORKLOAD_NAMES)}")
-    return _KERNELS[name][1]
-
-
 def run_workload(
     name: str,
     fmt: FixedPositFormat | None,
@@ -430,7 +421,8 @@ def run_workload(
     ref_out = runner(ref_mul)
 
     start = time.perf_counter()
-    sub_mul = TracingMul(native_mul if fmt is None else fixed_posit_mul(fmt), record=record_trace)
+    sub_fn = native_mul if fmt is None else partial(mul_float32_batch, fmt)
+    sub_mul = TracingMul(sub_fn, record=record_trace)
     sub_out = runner(sub_mul)
     elapsed = time.perf_counter() - start
 
@@ -462,18 +454,25 @@ def read_pgm(path) -> np.ndarray:
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(data):
+            raise ValueError(f"PGM header is truncated: {len(fields)} of 4 fields present")
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise ValueError(f"not a binary PGM file: magic {fields[0]!r}")
+    for name, text in zip(("width", "height", "maxval"), fields[1:]):
+        if not text.isdigit():
+            raise ValueError(f"PGM {name} is not a decimal number: {text!r}")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
     pos += 1  # single whitespace after the header
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width).copy()
+    body = data[pos : pos + width * height]
+    if len(body) < width * height:
+        raise ValueError(f"PGM body is truncated: {len(body)} of {width}x{height} pixel bytes")
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width).copy()
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -1,8 +1,9 @@
 """The value-domain substituted multiply against the word-level mirror and the scalar path.
 
 ``mul_binary32_batch`` computes in binary64 values; ``mul_batch`` and the
-word-level codec compute on bit patterns, and ``mul_binary32_bits`` is the
-scalar specification.  These pins keep the three bit-identical.
+word-level codec compute on bit patterns, and ``mul_datapath`` and
+``mul_binary32_bits`` are the scalar specification.  These pins keep the
+three bit-identical.
 """
 
 import math
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedposit import FixedPositFormat, enumerate_ieee_equivalent, mul_binary32_bits, scale_range
+from fixedposit import (
+    FixedPositFormat,
+    PositWord,
+    enumerate_ieee_equivalent,
+    mul_binary32_bits,
+    mul_datapath,
+    scale_range,
+)
 from fixedposit import batch
 from fixedposit.formats import SWEEP_WIDTHS
 
@@ -31,6 +39,21 @@ def word_level_mul(fmt: FixedPositFormat, a_bits: np.ndarray, b_bits: np.ndarray
     wa = batch.from_binary32_batch(a_bits, fmt)
     wb = batch.from_binary32_batch(b_bits, fmt)
     return batch.to_binary32_batch(batch.mul_batch(wa, wb, fmt), fmt)
+
+
+def test_word_path_matches_datapath_exhaustively_small():
+    # 34 formats and 293,632 word pairs with n <= 7, regime aliases for rs >= 3,
+    # NaR and zero included; n <= 9 would take the scalar datapath ~30x longer.
+    for fmt in all_fixed_formats(7):
+        count = 1 << fmt.n
+        words = np.arange(count)
+        got = batch.mul_batch(np.repeat(words, count), np.tile(words, count), fmt)
+        expected = [
+            mul_datapath(PositWord(a, fmt), PositWord(b, fmt)).bits
+            for a in range(count)
+            for b in range(count)
+        ]
+        assert np.array_equal(got, expected), fmt
 
 
 def test_value_path_matches_word_path_exhaustively_small():

@@ -147,6 +147,25 @@ def test_workload_bad_size_fails(capsys):
     assert "power of two" in err
 
 
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        (b"P5\n4 4\n", "PGM header is truncated: 3 of 4 fields"),
+        (b"P5\nx 4\n255\n" + bytes(16), "PGM width is not a decimal number: b'x'"),
+        (b"P5\n4 4\n255\n" + bytes(10), "PGM body is truncated: 10 of 4x4 pixel bytes"),
+    ],
+    ids=["truncated-header", "non-numeric-width", "short-body"],
+)
+def test_workload_rejects_malformed_pgm(tmp_path, capsys, data, problem):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(data)
+    code, _, err = run_cli(
+        capsys, "workload", "--name", "sobel", "--fmt", "18,6,2", "--image", str(path)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and problem in err
+
+
 def test_text_output_default(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--width", "32")
     assert code == 0

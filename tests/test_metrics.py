@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,29 +8,32 @@ from hypothesis import strategies as st
 
 from fixedposit import (
     ErrorReport,
-    ExcludedSample,
     FixedPositFormat,
     error_report,
     psnr_db,
-    relative_error_pct,
     rmse,
     sweep_conversion_error,
 )
 
 
+def one_rel_err_pct(reference: float, approximation: float) -> float:
+    """The relative error of a single sample, through ``error_report``."""
+    report = error_report([reference], [approximation])
+    assert report.skipped == 0 and report.mean_rel_err_pct == report.max_rel_err_pct
+    return report.max_rel_err_pct
+
+
 def test_relative_error_examples():
-    assert relative_error_pct(2.0, 2.0) == 0.0
-    assert relative_error_pct(1.0, 1.0625) == 6.25
-    assert relative_error_pct(-4.0, -3.0) == 25.0
+    assert one_rel_err_pct(2.0, 2.0) == 0.0
+    assert one_rel_err_pct(1.0, 1.0625) == 6.25
+    assert one_rel_err_pct(-4.0, -3.0) == 25.0
 
 
 def test_relative_error_excludes_bad_references():
-    with pytest.raises(ExcludedSample):
-        relative_error_pct(0.0, 1.0)
-    with pytest.raises(ExcludedSample):
-        relative_error_pct(math.inf, 1.0)
-    with pytest.raises(ExcludedSample):
-        relative_error_pct(math.nan, 1.0)
+    for reference in (0.0, -0.0, math.inf, -math.inf, math.nan):
+        report = error_report([reference], [1.0])
+        assert report.count == 1 and report.skipped == 1
+        assert report.max_rel_err_pct == report.mean_rel_err_pct == 0.0
 
 
 @given(
@@ -39,8 +43,8 @@ def test_relative_error_excludes_bad_references():
 )
 @settings(max_examples=200)
 def test_relative_error_is_scale_invariant(x, xp, c):
-    base = relative_error_pct(x, xp)
-    scaled = relative_error_pct(c * x, c * xp)
+    base = one_rel_err_pct(x, xp)
+    scaled = one_rel_err_pct(c * x, c * xp)
     assert scaled == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
@@ -77,11 +81,11 @@ def test_psnr_and_rmse_agree_on_zero_error():
 
 
 def test_error_report_skips_zero_and_nonfinite_references():
-    ref = [2.0, 0.0, math.inf, -4.0]
-    approx = [2.0, 5.0, 1.0, -3.0]
+    ref = [2.0, 0.0, math.inf, math.nan, -4.0]
+    approx = [2.0, 5.0, 1.0, 1.0, -3.0]
     report = error_report(ref, approx)
-    assert report.count == 4
-    assert report.skipped == 2
+    assert report.count == 5
+    assert report.skipped == 3
     assert report.max_rel_err_pct == 25.0
     assert report.mean_rel_err_pct == 12.5
     assert report.max_rel_err_pct >= report.mean_rel_err_pct >= 0.0
@@ -89,7 +93,7 @@ def test_error_report_skips_zero_and_nonfinite_references():
 
 def test_error_report_serializes_stably():
     report = ErrorReport(3, 1.0, 0.5, 0.1, None, 0)
-    assert list(report.to_dict()) == [
+    assert list(asdict(report)) == [
         "count",
         "max_rel_err_pct",
         "mean_rel_err_pct",

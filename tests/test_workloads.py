@@ -12,7 +12,8 @@ from fixedposit import (
     trace_sample,
     write_pgm,
 )
-from fixedposit.workloads import WORKLOAD_NAMES, fixed_posit_mul, native_mul
+from fixedposit.batch import mul_float32_batch
+from fixedposit.workloads import WORKLOAD_NAMES, native_mul
 
 F18 = FixedPositFormat(18, 6, 2)
 F32 = FixedPositFormat(32, 6, 2)
@@ -126,6 +127,14 @@ def test_trace_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.b_bits, trace.b_bits)
 
 
+@pytest.mark.parametrize("length", [5, 9, 12])
+def test_trace_load_rejects_partial_records(tmp_path, length):
+    path = tmp_path / "partial.trace"
+    path.write_bytes(bytes(range(length)))
+    with pytest.raises(ValueError, match=f"{length} bytes, not a multiple of 8"):
+        OperandTrace.load(path)
+
+
 def test_trace_sample_shapes_and_errors():
     trace = OperandTrace(np.arange(10_000, dtype=np.uint32), np.arange(10_000, dtype=np.uint32))
     sampled = trace_sample(trace, chunks=10, chunk_len=100, seed=1)
@@ -212,10 +221,9 @@ def test_kmeans_is_stable_for_separated_blobs():
 
 def test_batch_substitution_matches_scalar_callable():
     mul_scalar = mul_binary32_via(F18)
-    batch_fn = fixed_posit_mul(F18)
     rng = np.random.default_rng(31)
     a = np.exp2(rng.uniform(-6, 6, 200)).astype(np.float32)
     b = np.exp2(rng.uniform(-6, 6, 200)).astype(np.float32)
-    out = batch_fn(a, b)
+    out = mul_float32_batch(F18, a, b)
     for i in range(0, 200, 7):
         assert out[i] == np.float32(mul_scalar(float(a[i]), float(b[i])))
