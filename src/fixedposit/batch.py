@@ -1,7 +1,7 @@
 """Vectorized NumPy paths for conversion sweeps and multiply-substituted workloads.
 
-Two paths live here, so sweeps and workloads run in array passes instead of
-per-scalar Python calls.
+Three groups live here, so sweeps and workloads run in array passes instead
+of per-scalar Python calls.
 
 *Value domain* (``mul_binary32_batch``, ``mul_float32_batch``).  Over its
 scale window a fixed-posit format holds exactly the binary numbers with ``f``
@@ -16,15 +16,19 @@ magnitude within ``2**+-260``, so it is a binary64 normal; ``Q`` of it keeps
 binary32 is then the one correct rounding ``to_binary32`` performs,
 subnormal outputs and overflow to infinity included.
 
-*Word level* (``from_binary32_batch``, ``to_binary64_batch``,
-``to_binary32_batch``, ``mul_batch``).  Mirrors of the scalar codec and of
-``mul_datapath`` over int64 word patterns.  The sweeps use the codec
-functions; ``mul_batch`` is pinned to ``mul_datapath`` exhaustively and is
+*Conversions* (``from_binary32_batch``, ``to_binary64_batch``,
+``to_binary32_batch``), used by the sweeps.  The encode packs the value
+path's quantised operand: its binary64 exponent is the word's scale and its
+top ``f`` fraction bits are the word's fraction.  The decode splits a word's
+fields with the same array passes for every format.
+
+*Word-level multiply* (``mul_batch``).  A mirror of ``mul_datapath`` over
+int64 word patterns, pinned to it exhaustively.  With the scalar codec it is
 the reference the value path is tested against.
 
-Both paths are pinned to the scalar functions by exhaustive small-width and
-sampled 32-bit equivalence tests.  The int64 word carrier limits batch
-formats to n <= 32 (plenty for every stock configuration).
+Every function here is pinned to the scalar functions by exhaustive
+small-width and sampled 32-bit equivalence tests.  The int64 word carrier
+limits batch formats to n <= 32 (plenty for every stock configuration).
 """
 
 from __future__ import annotations
@@ -58,44 +62,47 @@ def _rne_shift_right(num: np.ndarray, drop: np.ndarray | int) -> np.ndarray:
     return kept + round_up.astype(_I64)
 
 
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    # frexp's exponent is the bit length for positive ints (and 0 for 0).
-    return np.frexp(x.astype(np.float64))[1].astype(_I64)
+def _fields(words: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, ...]:
+    """(sign-extended word, scale, significand) of int64 words.
+
+    Zero and NaR lanes decode to values the callers overwrite.  Updating in
+    place keeps few arrays alive, which saves page faults on large calls.
+    """
+    n, es, rs, f = fmt.n, fmt.es, fmt.rs, fmt.fraction_bits
+    signed = (words << (64 - n)) >> (64 - n)
+    mag = np.abs(signed)
+    # The regime field, sign-extended from its lead bit: -lead is 0 or -1, and
+    # xor with it turns a run of ones into a run of zeros.
+    regime = (mag << (65 - n)) >> (64 - rs)
+    neg_lead = regime >> (rs - 1)
+    # 2x+1 converts exactly; its binary64 exponent field is bit_length(x) + 1023.
+    scale = (((regime ^ neg_lead) << 1) | 1).astype(np.float64).view(_I64) >> 52
+    scale -= 1023 + rs
+    scale ^= neg_lead  # k: -run, or run-1 for a run of ones
+    scale <<= es
+    scale += (mag >> f) & ((1 << es) - 1)
+    mag &= (1 << f) - 1  # the significand
+    mag |= 1 << f
+    return signed, scale, mag
 
 
-def _split_sign(words: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, np.ndarray]:
-    n = fmt.n
-    mask = (1 << n) - 1
-    sign = (words >> (n - 1)) & 1
-    mag = np.where(sign == 1, (-words) & mask, words)
-    return sign, mag
-
-
-def _decode_fields(mag: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, ...]:
-    """(k, exponent, significand, scale) of positive magnitudes."""
+def _pack(scale: np.ndarray, fraction: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
+    """Positive magnitudes of in-window scales and ``f``-bit fractions."""
     es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
-    regime = (mag >> (es + f)) & ((1 << rs) - 1)
-    lead = regime >> (rs - 1)
-    inverted = np.where(lead == 1, regime ^ ((1 << rs) - 1), regime)
-    run = rs - _bit_length(inverted)
-    k = np.where(lead == 1, run - 1, -run)
-    exponent = (mag >> f) & ((1 << es) - 1)
-    significand = (mag & ((1 << f) - 1)) | (1 << f)
-    return k, exponent, significand, (k << es) + exponent
+    # Regime fields for k = -rs .. rs-1: -k zeros then ones, or k+1 ones then zeros.
+    regimes = [(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
+               for k in range(-rs, rs)]
+    # Clipping keeps out-of-window lanes, which the callers overwrite, in the table.
+    mag = np.take(np.array(regimes, _I64) << (es + f), (scale >> es) + rs, mode="clip")
+    mag |= (scale & ((1 << es) - 1)) << f
+    mag |= fraction
+    return mag
 
 
 def _assemble(scale: np.ndarray, significand: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Pack (scale, significand) into positive magnitudes, saturating the scale."""
-    es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
     rng = scale_range(fmt)
-    k = scale >> es
-    exponent = scale - (k << es)
-    k_pos = np.clip(k, 0, rs - 1)
-    k_neg = np.clip(k, -rs, -1)
-    reg_pos = ((_I64(1) << (k_pos + 1)) - 1) << (rs - k_pos - 1)
-    reg_neg = (_I64(1) << (rs + k_neg)) - 1
-    regime = np.where(k >= 0, reg_pos, reg_neg)
-    mag = (regime << (es + f)) | (exponent << f) | (significand & ((1 << f) - 1))
+    mag = _pack(scale, significand & ((1 << fmt.fraction_bits) - 1), fmt)
     mag = np.where(mag == 0, 1, mag)  # zero pattern is reserved; nudge up
     mag = np.where(scale > rng.max_scale, (1 << (fmt.n - 1)) - 1, mag)
     mag = np.where(scale < rng.min_scale, 1, mag)
@@ -105,37 +112,32 @@ def _assemble(scale: np.ndarray, significand: np.ndarray, fmt: FixedPositFormat)
 def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Vector version of codec.from_binary32; returns int64 word patterns."""
     _check_fmt(fmt)
-    x = np.asarray(x_bits).astype(_I64) & 0xFFFFFFFF
     n, f = fmt.n, fmt.fraction_bits
-    sign = (x >> 31) & 1
-    exp_field = (x >> 23) & 0xFF
-    scale = exp_field - 127
-    sig = (x & 0x7FFFFF) | (1 << 23)
-    if f >= 23:
-        sig = sig << (f - 23)
-    else:
-        sig = _rne_shift_right(sig, 23 - f)
-        carried = sig >> (f + 1)
-        sig = np.where(carried == 1, sig >> 1, sig)
-        scale = scale + carried
-    mag = _assemble(scale, sig, fmt)
-    words = np.where(sign == 1, (-mag) & ((1 << n) - 1), mag)
-    words = np.where(exp_field == 0, 0, words)  # zeros and subnormals flush
-    words = np.where(exp_field == 0xFF, 1 << (n - 1), words)
+    bits = _operand(_bits_to_float32(x_bits), fmt).view(_I64)
+    scale = ((bits >> 52) & 0x7FF) - 1023  # -1023 for zero, 1024 for NaN
+    words = _pack(scale, (bits >> (52 - f)) & ((1 << f) - 1), fmt)
+    sign = bits >> 63  # 0 or -1; negating is xor with -1, then adding 1
+    words ^= sign
+    words -= sign
+    words &= (1 << n) - 1
+    words[scale == -1023] = 0
+    words[scale == 1024] = 1 << (n - 1)
     return words
 
 
 def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Vector version of codec.to_binary64; exact float64 values."""
+    """Vector version of codec.to_binary64; exact float64 values.
+
+    Scales beyond binary64's range give +-inf or 0, as ``np.ldexp`` does.
+    """
     _check_fmt(fmt)
     w = np.asarray(words).astype(_I64)
-    n, f = fmt.n, fmt.fraction_bits
-    sign, mag = _split_sign(w, fmt)
-    _, _, significand, scale = _decode_fields(mag, fmt)
-    value = np.ldexp(significand.astype(np.float64), (scale - f).astype(np.int32))
-    value = np.where(sign == 1, -value, value)
-    value = np.where(w == 0, 0.0, value)
-    value = np.where(w == (1 << (n - 1)), np.nan, value)
+    signed, scale, significand = _fields(w, fmt)
+    scale -= fmt.fraction_bits
+    value = np.ldexp(significand.astype(np.float64), scale.astype(np.int32))
+    np.copysign(value, signed, out=value)
+    value[w == 0] = 0.0
+    value[w == 1 << (fmt.n - 1)] = np.nan
     return value
 
 
@@ -156,18 +158,14 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     _check_fmt(fmt)
     a = np.asarray(a_words).astype(_I64)
     b = np.asarray(b_words).astype(_I64)
-    n, es, f = fmt.n, fmt.es, fmt.fraction_bits
+    n, f = fmt.n, fmt.fraction_bits
     nar = 1 << (n - 1)
 
-    sa, mag_a = _split_sign(a, fmt)
-    sb, mag_b = _split_sign(b, fmt)
-    sc = sa ^ sb
-    k_a, exp_a, frac_a, _ = _decode_fields(mag_a, fmt)
-    k_b, exp_b, frac_b, _ = _decode_fields(mag_b, fmt)
-
+    signed_a, scale_a, frac_a = _fields(a, fmt)
+    signed_b, scale_b, frac_b = _fields(b, fmt)
     product = frac_a * frac_b  # <= 2f+2 bits, fine in int64 for n <= 32
     carry = (product >> (2 * f + 1)) & 1
-    raw_scale = (k_a << es) + exp_a + (k_b << es) + exp_b + carry
+    raw_scale = scale_a + scale_b + carry
 
     kept = _rne_shift_right(product, f + carry)
     carried = kept >> (f + 1)
@@ -175,7 +173,7 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     result_scale = raw_scale + carried
 
     mag_c = _assemble(result_scale, kept, fmt)
-    words = np.where(sc == 1, (-mag_c) & ((1 << n) - 1), mag_c)
+    words = np.where((signed_a ^ signed_b) < 0, (-mag_c) & ((1 << n) - 1), mag_c)
     words = np.where((a == 0) | (b == 0), 0, words)
     words = np.where((a == nar) | (b == nar), nar, words)
     return words

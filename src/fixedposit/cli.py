@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 from . import __version__
 from .codec import (
@@ -213,8 +214,12 @@ def cmd_workload(args: argparse.Namespace) -> int:
         entry.update(result.to_dict())
         report["results"].append(entry)
         if trace is not None:
-            trace.save(args.trace_out)
-            entry["trace_file"] = args.trace_out
+            path = args.trace_out
+            if args.sweep_widths:  # one file per format, or each would overwrite the last
+                out = Path(path)
+                path = str(out.with_name(f"{out.stem}-{fmt.n}_{fmt.es}_{fmt.rs}{out.suffix}"))
+            trace.save(path)
+            entry["trace_file"] = path
             entry["trace_len"] = len(trace)
     if not args.json:
         print(f"{'format':>12} {'metric':>18} {'quality':>14} {'muls':>10}")
@@ -297,7 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run (N,6,2) for every width in 18..32 (even)",
     )
     p_work.add_argument("--size", type=int, default=None, help="workload size parameter")
-    p_work.add_argument("--trace-out", help="write the operand trace to this file")
+    p_work.add_argument(
+        "--trace-out",
+        help="write the operand trace to this file; --sweep-widths writes STEM-N_es_rs.SUFFIX",
+    )
     p_work.add_argument("--image", help="8-bit PGM input image (sobel only)")
     _add_common(p_work)
     p_work.set_defaults(func=cmd_workload)

@@ -243,8 +243,14 @@ def to_binary32(w: PositWord) -> int:
 
 
 def float_to_bits32(x: float) -> int:
-    """Bit pattern of a float coerced to binary32."""
-    return struct.unpack("<I", struct.pack("<f", x))[0]
+    """Bit pattern of a float rounded to binary32, as a cast rounds it.
+
+    Values that round past the largest binary32 become infinities.
+    """
+    try:
+        return struct.unpack("<I", struct.pack("<f", x))[0]
+    except OverflowError:  # raised exactly when the rounded value is infinite
+        return 0xFF800000 if math.copysign(1.0, x) < 0 else 0x7F800000
 
 
 def bits32_to_float(bits: int) -> float:

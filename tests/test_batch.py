@@ -18,6 +18,7 @@ from fixedposit import (
     FixedPositFormat,
     PositWord,
     enumerate_ieee_equivalent,
+    from_binary32,
     mul_binary32_bits,
     mul_datapath,
     scale_range,
@@ -111,6 +112,16 @@ def test_value_path_matches_word_path_sampled_32bit(fmt):
     got = batch.mul_binary32_batch(fmt, a_bits, b_bits)
     expected = word_level_mul(fmt, a_bits, b_bits)
     assert np.array_equal(got, expected), np.flatnonzero(got != expected)[:5]
+
+
+@pytest.mark.parametrize("fmt", PINNED_32BIT_FORMATS, ids=str)
+def test_encode_matches_scalar_sampled_32bit(fmt):
+    # The encode packs _operand's values, which the value-path multiply shares,
+    # so it is pinned here to the scalar codec directly.
+    rng = np.random.default_rng(fmt.n * 1000 + fmt.es * 100 + fmt.rs + 7)
+    bits = np.concatenate([edge_operands(fmt), rng.integers(0, 1 << 32, 5_000, dtype=np.int64)])
+    expected = [from_binary32(int(b), fmt).bits for b in bits]
+    assert np.array_equal(batch.from_binary32_batch(bits, fmt), expected)
 
 
 BINARY32_PATTERNS = st.builds(

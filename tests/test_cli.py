@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,21 @@ def test_convert_examples(capsys):
     report = run_json(capsys, "convert", "--fmt", "32,6,2", "--value", "nan")
     assert report["results"][0]["class"] == "nar"
     assert report["results"][0]["word_hex"] == "0x80000000"
+
+
+@pytest.mark.parametrize(
+    "command, beyond, infinite",
+    [
+        (("convert", "--fmt", "32,6,2"), ("--value=1e39",), ("--value=inf",)),
+        (("convert", "--fmt", "32,6,2"), ("--value=-1e39",), ("--value=-inf",)),
+        (("mul", "--fmt", "32,6,2", "--b", "2"), ("--a=1e39",), ("--a=inf",)),
+    ],
+    ids=["convert", "convert-negative", "mul"],
+)
+def test_values_beyond_binary32_round_to_infinity(capsys, command, beyond, infinite):
+    got = run_json(capsys, *command, *beyond)
+    expected = run_json(capsys, *command, *infinite)
+    assert got["results"] == expected["results"]
 
 
 def test_convert_rejects_bad_format(capsys):
@@ -133,6 +149,21 @@ def test_workload_trace_out(tmp_path, capsys):
     entry = report["results"][0]
     assert path.stat().st_size == 8 * entry["trace_len"]
     assert entry["trace_len"] == entry["mul_count"]
+
+
+def test_workload_sweep_widths_trace_out_writes_one_file_per_format(tmp_path, capsys):
+    report = run_json(
+        capsys,
+        "workload", "--name", "dot", "--sweep-widths", "--size", "8",
+        "--trace-out", str(tmp_path / "ops.trace"),
+    )
+    entries = report["results"]
+    assert len(entries) == 8
+    for entry in entries:
+        n, es, rs = entry["format"]
+        assert entry["trace_file"] == str(tmp_path / f"ops-{n}_{es}_{rs}.trace")
+        assert Path(entry["trace_file"]).stat().st_size == 8 * entry["trace_len"]
+    assert sorted(tmp_path.iterdir()) == sorted(Path(e["trace_file"]) for e in entries)
 
 
 def test_workload_rejects_unknown_name(capsys):

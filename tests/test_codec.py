@@ -115,6 +115,16 @@ def test_from_binary32_specials():
     assert from_binary32(0x7F800001, F3262).is_nar  # signaling NaN
 
 
+def test_float_to_bits32_rounds_like_a_cast():
+    assert float_to_bits32(1e39) == 0x7F800000
+    assert float_to_bits32(-1e39) == 0xFF800000
+    assert float_to_bits32(3.4028235e38) == 0x7F7FFFFF
+    tie = math.ldexp(2.0 - 2.0**-24, 127)  # halfway to 2**128: rounds to even, infinity
+    with np.errstate(over="ignore"):
+        for x in (tie, math.nextafter(tie, 0.0), -tie, 1e300, 1e-50):
+            assert float_to_bits32(x) == int(np.float32(x).view(np.uint32)), x
+
+
 def test_to_binary64_examples():
     assert to_binary64(PositWord(0x4D, F822)) == 3.25
     assert to_binary64(zero_word(F822)) == 0.0
@@ -257,8 +267,9 @@ def test_conversion_error_half_ulp_bound_sampled():
 
 
 def test_batch_matches_scalar_exhaustively_small():
-    # (11,7,2) spans scales [-256, 255]: binary32 subnormals, underflow and overflow.
-    for fmt in (F822, FixedPositFormat(10, 3, 2), FixedPositFormat(11, 7, 2)):
+    # Every format with n <= 9 reaches regime aliases for rs >= 3; (11,7,2) spans
+    # scales [-256, 255]: binary32 subnormals, underflow and overflow.
+    for fmt in all_fixed_formats(9) + [FixedPositFormat(10, 3, 2), FixedPositFormat(11, 7, 2)]:
         patterns = np.arange(1 << fmt.n)
         words = [PositWord(int(b), fmt) for b in patterns]
         scalar64 = np.array([to_binary64(w) for w in words])
@@ -268,6 +279,15 @@ def test_batch_matches_scalar_exhaustively_small():
         assert np.array_equal(scalar64[mask], batch64[mask])
         scalar32 = np.array([to_binary32(w) for w in words])
         assert np.array_equal(scalar32, batch.to_binary32_batch(patterns, fmt))
+
+
+def test_batch_to_binary32_matches_scalar_beyond_binary64():
+    # (14,10,2) spans scales [-2048, 2047], so the binary64 decode gives +-inf and
+    # 0 for its extreme words, and the binary32 cast must still round them right.
+    fmt = FixedPositFormat(14, 10, 2)
+    patterns = np.arange(1 << fmt.n)
+    expected = [to_binary32(PositWord(int(b), fmt)) for b in patterns]
+    assert np.array_equal(batch.to_binary32_batch(patterns, fmt), expected)
 
 
 def test_batch_from_binary32_matches_scalar_sampled():
