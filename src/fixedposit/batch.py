@@ -134,7 +134,8 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     w = np.asarray(words).astype(_I64)
     signed, scale, significand = _fields(w, fmt)
     scale -= fmt.fraction_bits
-    value = np.ldexp(significand.astype(np.float64), scale.astype(np.int32))
+    with np.errstate(over="ignore"):
+        value = np.ldexp(significand.astype(np.float64), scale.astype(np.int32))
     np.copysign(value, signed, out=value)
     value[w == 0] = 0.0
     value[w == 1 << (fmt.n - 1)] = np.nan
@@ -148,7 +149,7 @@ def to_binary32_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     overflow or underflow when its scale leaves binary64's range, so one
     correctly rounded cast gives ``to_binary32``'s result.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the float32 cast overflows too
         value = to_binary64_batch(words, fmt).astype(np.float32)
     return value.view(np.uint32).astype(_I64)
 

@@ -34,22 +34,11 @@ from .multiplier import mul_datapath_traced
 from .workloads import DEFAULT_SEED, WORKLOAD_NAMES, read_pgm, run_workload
 
 
-def _report_skeleton(args: argparse.Namespace, command: str) -> dict:
-    return {
-        "tool": "fixedposit",
-        "version": __version__,
-        "command": command,
-        "argv": sys.argv[1:],
-        "seed": getattr(args, "seed", None),
-        "results": [],
-        "wall_time_s": None,
-    }
+class _Parser(argparse.ArgumentParser):
+    """Sends usage errors to ``main``'s one error path, not to a usage dump and exit."""
 
-
-def _emit(report: dict, as_json: bool, started: float) -> None:
-    report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    if as_json:
-        print(json.dumps(report, indent=2))
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _fmt_triple(fmt: FixedPositFormat) -> list[int]:
@@ -69,13 +58,9 @@ def _parse_value(text: str) -> int:
     return float_to_bits32(float(text))
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
     widths = SWEEP_WIDTHS if args.all_paper_widths else (args.width,)
-    rows = []
-    for width in widths:
-        rows.extend(enumerate_ieee_equivalent(width))
-    report = _report_skeleton(args, "enumerate")
+    rows = [fmt for width in widths for fmt in enumerate_ieee_equivalent(width)]
     for fmt in rows:
         rng = scale_range(fmt)
         report["results"].append(
@@ -96,8 +81,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 + f"  [{row['min_scale']}, {row['max_scale']}]".rjust(14)
             )
         print(f"{len(rows)} configuration(s)")
-    _emit(report, args.json, started)
-    return 0
 
 
 def _describe_word(word: PositWord) -> dict:
@@ -117,12 +100,11 @@ def _describe_word(word: PositWord) -> dict:
     return entry
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    word = from_binary32(args.value, args.fmt)
-    report = _report_skeleton(args, "convert")
-    entry = {"format": _fmt_triple(args.fmt), "input_bits": f"0x{args.value:08x}"}
-    entry.update(_describe_word(word))
+def cmd_convert(args: argparse.Namespace, report: dict) -> None:
+    fmt = parse_fixed_posit(args.fmt)
+    value = _parse_value(args.value)
+    entry = {"format": _fmt_triple(fmt), "input_bits": f"0x{value:08x}"}
+    entry.update(_describe_word(from_binary32(value, fmt)))
     report["results"].append(entry)
     if not args.json:
         shown = "NaR" if entry["class"] == "nar" else entry["value"]
@@ -132,18 +114,15 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 f"  sign={entry['sign']} scale={entry['scale']} "
                 f"significand={entry['significand']}/2^{entry['fraction_bits']}"
             )
-    _emit(report, args.json, started)
-    return 0
 
 
-def cmd_mul(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    wa = from_binary32(args.a, args.fmt)
-    wb = from_binary32(args.b, args.fmt)
+def cmd_mul(args: argparse.Namespace, report: dict) -> None:
+    fmt = parse_fixed_posit(args.fmt)
+    wa = from_binary32(_parse_value(args.a), fmt)
+    wb = from_binary32(_parse_value(args.b), fmt)
     wc, trace = mul_datapath_traced(wa, wb)
-    report = _report_skeleton(args, "mul")
     entry = {
-        "format": _fmt_triple(args.fmt),
+        "format": _fmt_triple(fmt),
         "a_word": str(wa),
         "b_word": str(wb),
         "result": _describe_word(wc),
@@ -157,17 +136,13 @@ def cmd_mul(args: argparse.Namespace) -> int:
         if "datapath_trace" in entry:
             for key, val in entry["datapath_trace"].items():
                 print(f"  {key} = {val}")
-    _emit(report, args.json, started)
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_sweep(args: argparse.Namespace, report: dict) -> None:
     if args.all_paper_widths:
         formats = [fmt for width in SWEEP_WIDTHS for fmt in enumerate_ieee_equivalent(width)]
     else:
-        formats = [args.fmt]
-    report = _report_skeleton(args, "sweep")
+        formats = [parse_fixed_posit(args.fmt)]
     report["samples"] = args.samples
     report["distribution"] = args.dist
     for fmt in formats:
@@ -184,12 +159,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 + f"{entry['max_rel_err_pct']:>17.6g}"
                 + f"{entry['mean_rel_err_pct']:>17.6g}"
             )
-    _emit(report, args.json, started)
-    return 0
 
 
-def cmd_workload(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_workload(args: argparse.Namespace, report: dict) -> None:
     if args.sweep_widths:
         formats: list[FixedPositFormat | None] = [
             FixedPositFormat(width, 6, 2) for width in SWEEP_WIDTHS
@@ -199,7 +171,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     else:
         formats = [parse_fixed_posit(args.fmt)]
     image = read_pgm(args.image) if args.image else None
-    report = _report_skeleton(args, "workload")
     report["workload"] = args.name
     for fmt in formats:
         result, trace = run_workload(
@@ -235,8 +206,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
                 + f"{entry['quality']:>15.6g}"
                 + f"{entry['mul_count']:>11}"
             )
-    _emit(report, args.json, started)
-    return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -245,7 +214,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fixedposit",
         description="Fixed-posit arithmetic workbench",
     )
@@ -313,27 +282,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; input errors print one ``error:`` line and return 2."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if args.command in ("convert", "mul") or (
-            args.command == "sweep" and not args.all_paper_widths
-        ):
-            if getattr(args, "fmt", None):
-                args.fmt = parse_fixed_posit(args.fmt)
-        if args.command == "convert":
-            args.value = _parse_value(args.value)
-        if args.command == "mul":
-            args.a = _parse_value(args.a)
-            args.b = _parse_value(args.b)
-        if args.command == "sweep" and args.samples < 1:
-            parser.error(f"--samples must be positive, got {args.samples}")
-        if args.command == "workload" and args.size is not None and args.size < 1:
-            parser.error(f"--size must be positive, got {args.size}")
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+        report = {
+            "tool": "fixedposit",
+            "version": __version__,
+            "command": args.command,
+            "argv": argv,
+            "seed": args.seed,
+            "results": [],
+            "wall_time_s": None,
+        }
+        started = time.perf_counter()
+        args.func(args, report)
+        report["wall_time_s"] = round(time.perf_counter() - started, 6)
+        if args.json:
+            print(json.dumps(report, indent=2))
+    except (ValueError, OSError) as exc:  # OSError includes a closed output pipe
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ class ErrorReport:
     max_rel_err_pct: float
     mean_rel_err_pct: float
     rmse: float
-    psnr_db: float | None = None
     skipped: int = 0
 
 
@@ -52,7 +51,7 @@ def psnr_db(reference, approximation, peak: float = 255.0) -> float:
     return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
 
 
-def error_report(reference, approximation, psnr_peak: float | None = None) -> ErrorReport:
+def error_report(reference, approximation) -> ErrorReport:
     """Elementwise relative error ``100 * |x - x'| / |x|``, aggregated.
 
     Elements whose reference is zero or non-finite (NaN included) are
@@ -75,7 +74,6 @@ def error_report(reference, approximation, psnr_peak: float | None = None) -> Er
         max_rel_err_pct=float(rel.max()) if rel.size else 0.0,
         mean_rel_err_pct=float(rel.mean()) if rel.size else 0.0,
         rmse=rmse(ref, approx),
-        psnr_db=psnr_db(ref, approx, psnr_peak) if psnr_peak is not None else None,
         skipped=int(ref.size - rel.size),
     )
 

@@ -400,16 +400,18 @@ def run_workload(
 
     With ``fmt=None`` the requested run is the reference itself, giving the
     zero-loss baseline.  ``image`` feeds sobel an external grayscale frame in
-    place of the synthetic one.
+    place of the synthetic one; any other workload rejects it.
     """
     if name not in _KERNELS:
         raise ValueError(f"unknown workload {name!r}; known: {', '.join(WORKLOAD_NAMES)}")
+    if image is not None and name != "sobel":
+        raise ValueError(f"an input image is for sobel only, not {name}")
     kernel, dflt, quality = _KERNELS[name]
     size = dflt if size is None else size
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
 
-    if name == "sobel" and image is not None:
+    if image is not None:
         if image.shape[0] < 3 or image.shape[1] < 3:
             raise ValueError("sobel needs at least a 3x3 image")
         size = int(image.shape[0])  # size reports the frame actually processed

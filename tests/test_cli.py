@@ -1,9 +1,12 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from fixedposit.cli import main
+from fixedposit.workloads import synthetic_image, write_pgm
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +19,48 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0, err
     return json.loads(out)
+
+
+def run_error(capsys, *argv):
+    """Run a failing command: exit 2, no stdout, one ``error: `` line on stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+ENVELOPE = ["tool", "version", "command", "argv", "seed", "results", "wall_time_s"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra_keys",
+    [
+        (["enumerate", "--width", "32"], []),
+        (["convert", "--fmt", "32,6,2", "--value", "1.0"], []),
+        (["mul", "--fmt", "8,2,2", "--a", "2.0", "--b", "3.0"], []),
+        (["sweep", "--fmt", "24,6,2", "--samples", "100"], ["samples", "distribution"]),
+        (["workload", "--name", "dot", "--fmt", "18,6,2", "--size", "8"], ["workload"]),
+    ],
+    ids=["enumerate", "convert", "mul", "sweep", "workload"],
+)
+def test_report_envelope_records_the_parsed_argv(capsys, monkeypatch, argv, extra_keys):
+    monkeypatch.setattr(sys, "argv", ["host", "--not-fixedposit", "-q"])
+    argv = argv + ["--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ENVELOPE + extra_keys
+    assert report["argv"] == argv
+    assert report["command"] == argv[0]
+    assert report["seed"] == 67
+    assert report["results"] and report["wall_time_s"] >= 0
+
+
+def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fixedposit", "enumerate", "--width", "32", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["argv"] == sys.argv[1:]
 
 
 def test_enumerate_width_32(capsys):
@@ -36,9 +81,7 @@ def test_enumerate_width_5_is_empty_but_ok(capsys):
 
 
 def test_enumerate_invalid_width_fails(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--width", "3")
-    assert code == 2
-    assert "at least 4" in err
+    assert "at least 4" in run_error(capsys, "enumerate", "--width", "3")
 
 
 def test_convert_examples(capsys):
@@ -67,9 +110,7 @@ def test_values_beyond_binary32_round_to_infinity(capsys, command, beyond, infin
 
 
 def test_convert_rejects_bad_format(capsys):
-    code, _, err = run_cli(capsys, "convert", "--fmt", "18,3,16", "--value", "1.0")
-    assert code == 2
-    assert "fraction" in err
+    assert "fraction" in run_error(capsys, "convert", "--fmt", "18,3,16", "--value", "1.0")
 
 
 def test_mul_with_datapath_trace(capsys):
@@ -111,9 +152,44 @@ def test_sweep_exact_format(capsys):
 
 
 def test_sweep_rejects_zero_samples(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--fmt", "32,6,2", "--samples", "0"])
-    assert exc.value.code == 2
+    error = run_error(capsys, "sweep", "--fmt", "32,6,2", "--samples", "0")
+    assert "must be positive, got 0" in error
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        pytest.param(
+            ("workload", "--name", "dot", "--fmt", "18,6,2", "--size", "0"),
+            "must be positive, got 0",
+            id="size-0",
+        ),
+        pytest.param(
+            ("workload", "--name", "dot"),
+            "one of the arguments --fmt --sweep-widths is required",
+            id="missing-fmt-group",
+        ),
+        pytest.param(
+            ("convert", "--value", "1.0"),
+            "the following arguments are required: --fmt",
+            id="missing-fmt",
+        ),
+        pytest.param(
+            ("sweep", "--fmt", "18,6,2", "--all-paper-widths"),
+            "argument --all-paper-widths: not allowed with argument --fmt",
+            id="fmt-with-all-widths",
+        ),
+        pytest.param(
+            ("sweep", "--fmt", "18,6,2", "--samples", "ten"),
+            "invalid int value: 'ten'",
+            id="non-int",
+        ),
+        pytest.param(("transpose",), "invalid choice: 'transpose'", id="unknown-command"),
+        pytest.param((), "the following arguments are required: command", id="no-command"),
+    ],
+)
+def test_usage_errors_are_one_error_line(capsys, argv, problem):
+    assert problem in run_error(capsys, *argv)
 
 
 def test_sweep_all_widths(capsys):
@@ -167,15 +243,13 @@ def test_workload_sweep_widths_trace_out_writes_one_file_per_format(tmp_path, ca
 
 
 def test_workload_rejects_unknown_name(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["workload", "--name", "jacobi", "--fmt", "32,6,2"])
-    assert exc.value.code == 2
+    error = run_error(capsys, "workload", "--name", "jacobi", "--fmt", "32,6,2")
+    assert "argument --name: invalid choice: 'jacobi'" in error
 
 
 def test_workload_bad_size_fails(capsys):
-    code, _, err = run_cli(capsys, "workload", "--name", "fft", "--fmt", "32,6,2", "--size", "100")
-    assert code == 2
-    assert "power of two" in err
+    error = run_error(capsys, "workload", "--name", "fft", "--fmt", "32,6,2", "--size", "100")
+    assert "power of two" in error
 
 
 @pytest.mark.parametrize(
@@ -190,11 +264,29 @@ def test_workload_bad_size_fails(capsys):
 def test_workload_rejects_malformed_pgm(tmp_path, capsys, data, problem):
     path = tmp_path / "frame.pgm"
     path.write_bytes(data)
-    code, _, err = run_cli(
+    error = run_error(
         capsys, "workload", "--name", "sobel", "--fmt", "18,6,2", "--image", str(path)
     )
-    assert code == 2
-    assert err.startswith("error: ") and problem in err
+    assert problem in error
+
+
+def test_workload_rejects_image_for_other_kernels(tmp_path, capsys):
+    path = tmp_path / "frame.pgm"
+    write_pgm(path, synthetic_image(8))
+    error = run_error(
+        capsys, "workload", "--name", "gemm", "--fmt", "18,6,2", "--image", str(path)
+    )
+    assert "sobel only, not gemm" in error
+
+
+def test_closed_output_is_one_error_line(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["enumerate", "--width", "32", "--json"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_text_output_default(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,8 +287,23 @@ def test_batch_to_binary32_matches_scalar_beyond_binary64():
     # 0 for its extreme words, and the binary32 cast must still round them right.
     fmt = FixedPositFormat(14, 10, 2)
     patterns = np.arange(1 << fmt.n)
-    expected = [to_binary32(PositWord(int(b), fmt)) for b in patterns]
+    words = [PositWord(int(b), fmt) for b in patterns]
+    expected = [to_binary32(w) for w in words]
     assert np.array_equal(batch.to_binary32_batch(patterns, fmt), expected)
+    expected64 = []
+    for w in words:
+        try:
+            expected64.append(to_binary64(w))
+        except ValueError:  # beyond binary64: the exact value, rounded, or +-inf
+            d = decode(w)
+            exact = d.sign * Fraction(d.significand) * Fraction(2) ** (d.scale - d.fraction_bits)
+            try:
+                expected64.append(float(exact))
+            except OverflowError:
+                expected64.append(math.copysign(math.inf, d.sign))
+    got64 = batch.to_binary64_batch(patterns, fmt)
+    assert np.array_equal(got64, expected64, equal_nan=True)
+    assert np.array_equal(np.signbit(got64), np.signbit(expected64))
 
 
 def test_batch_from_binary32_matches_scalar_sampled():

@@ -92,13 +92,12 @@ def test_error_report_skips_zero_and_nonfinite_references():
 
 
 def test_error_report_serializes_stably():
-    report = ErrorReport(3, 1.0, 0.5, 0.1, None, 0)
+    report = ErrorReport(3, 1.0, 0.5, 0.1, 0)
     assert list(asdict(report)) == [
         "count",
         "max_rel_err_pct",
         "mean_rel_err_pct",
         "rmse",
-        "psnr_db",
         "skipped",
     ]
 

@@ -200,6 +200,11 @@ def test_sobel_accepts_external_image(tmp_path):
     assert from_file.quality == synthetic.quality
 
 
+def test_only_sobel_takes_an_image():
+    with pytest.raises(ValueError, match="sobel only, not gemm"):
+        run_workload("gemm", F18, size=8, image=synthetic_image(8))
+
+
 def test_pgm_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
