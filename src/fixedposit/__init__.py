@@ -19,7 +19,6 @@ from .codec import (
     float_to_bits32,
     from_binary32,
     nar_word,
-    pack_binary32,
     to_binary32,
     to_binary64,
     zero_word,
@@ -53,7 +52,6 @@ from .posit import (
     posit_encode,
     posit_from_binary32,
     posit_mul_binary32_bits,
-    posit_mul_binary32_via,
     posit_to_binary32,
 )
 from .workloads import (
@@ -80,7 +78,6 @@ __all__ = [
     "float_to_bits32",
     "from_binary32",
     "nar_word",
-    "pack_binary32",
     "to_binary32",
     "to_binary64",
     "zero_word",
@@ -106,7 +103,6 @@ __all__ = [
     "posit_encode",
     "posit_from_binary32",
     "posit_mul_binary32_bits",
-    "posit_mul_binary32_via",
     "posit_to_binary32",
     "DEFAULT_SEED",
     "WORKLOAD_NAMES",

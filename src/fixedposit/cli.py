@@ -45,17 +45,24 @@ def _fmt_triple(fmt: FixedPositFormat) -> list[int]:
     return [fmt.n, fmt.es, fmt.rs]
 
 
-def _parse_value(text: str) -> int:
-    """A command-line value: decimal float, 0x binary32 pattern, nan or inf."""
+def _binary32_arg(text: str) -> int:
+    """A value flag as a binary32 pattern: decimal float, 0xHEX pattern, nan or inf."""
     lowered = text.lower()
-    if lowered.startswith("0x"):
-        bits = int(lowered, 16)
-        if not 0 <= bits < 1 << 32:
-            raise ValueError(f"{text} is not a 32-bit pattern")
-        return bits
     if lowered in ("nan", "+nan", "-nan"):
         return 0x7FC00000
-    return float_to_bits32(float(text))
+    try:
+        bits = int(lowered, 16) if lowered.startswith("0x") else float_to_bits32(float(text))
+    except ValueError:
+        bits = -1
+    if not 0 <= bits < 1 << 32:
+        raise argparse.ArgumentTypeError(f"not a decimal value, 32-bit 0xHEX or nan: {text!r}")
+    return bits
+
+
+def _seed_arg(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
@@ -72,14 +79,11 @@ def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
             }
         )
     if not args.json:
-        print(f"{'format':>12} {'fraction':>9} {'scale range':>14}")
+        print(f"{'format':>12}{'fraction':>10}{'scale range':>14}")
         for row in report["results"]:
-            n, es, rs = row["format"]
-            print(
-                f"({n},{es},{rs})".rjust(12)
-                + f"{row['fraction_bits']:>10}"
-                + f"  [{row['min_scale']}, {row['max_scale']}]".rjust(14)
-            )
+            fmt_text = "({},{},{})".format(*row["format"])
+            scales = f"[{row['min_scale']}, {row['max_scale']}]"
+            print(f"{fmt_text:>12}{row['fraction_bits']:>10}{scales:>14}")
         print(f"{len(rows)} configuration(s)")
 
 
@@ -102,9 +106,8 @@ def _describe_word(word: PositWord) -> dict:
 
 def cmd_convert(args: argparse.Namespace, report: dict) -> None:
     fmt = parse_fixed_posit(args.fmt)
-    value = _parse_value(args.value)
-    entry = {"format": _fmt_triple(fmt), "input_bits": f"0x{value:08x}"}
-    entry.update(_describe_word(from_binary32(value, fmt)))
+    entry = {"format": _fmt_triple(fmt), "input_bits": f"0x{args.value:08x}"}
+    entry.update(_describe_word(from_binary32(args.value, fmt)))
     report["results"].append(entry)
     if not args.json:
         shown = "NaR" if entry["class"] == "nar" else entry["value"]
@@ -118,8 +121,8 @@ def cmd_convert(args: argparse.Namespace, report: dict) -> None:
 
 def cmd_mul(args: argparse.Namespace, report: dict) -> None:
     fmt = parse_fixed_posit(args.fmt)
-    wa = from_binary32(_parse_value(args.a), fmt)
-    wb = from_binary32(_parse_value(args.b), fmt)
+    wa = from_binary32(args.a, fmt)
+    wb = from_binary32(args.b, fmt)
     wc, trace = mul_datapath_traced(wa, wb)
     entry = {
         "format": _fmt_triple(fmt),
@@ -210,7 +213,7 @@ def cmd_workload(args: argparse.Namespace, report: dict) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="deterministic seed")
+    parser.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help="deterministic seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convert", help="convert a binary32 value to a fixed-posit word")
     p_conv.add_argument("--fmt", required=True, help="format as N,es,rs")
-    p_conv.add_argument("--value", required=True, help="decimal value, 0xHEX pattern, or nan")
+    p_conv.add_argument("--value", required=True, type=_binary32_arg, help="decimal, 0xHEX or nan")
     _add_common(p_conv)
     p_conv.set_defaults(func=cmd_convert)
 
     p_mul = sub.add_parser("mul", help="multiply two values through the datapath")
     p_mul.add_argument("--fmt", required=True, help="format as N,es,rs")
-    p_mul.add_argument("--a", required=True, help="left operand (decimal or 0xHEX)")
-    p_mul.add_argument("--b", required=True, help="right operand (decimal or 0xHEX)")
+    p_mul.add_argument("--a", required=True, type=_binary32_arg, help="left operand, like --value")
+    p_mul.add_argument("--b", required=True, type=_binary32_arg, help="right operand, as --a")
     p_mul.add_argument(
         "--trace-datapath", action="store_true", help="dump the multiplier block values"
     )

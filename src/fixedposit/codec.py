@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .formats import FixedPositFormat, PositFormat, scale_range
 
@@ -186,10 +187,11 @@ def encode(
     return PositWord(bits, fmt)
 
 
-def from_binary32(x_bits: int, fmt: FixedPositFormat) -> PositWord:
-    """Convert a binary32 bit pattern to a fixed-posit word.
+def encode_binary32(x_bits: int, fmt, encoder: Callable[..., PositWord]) -> PositWord:
+    """Convert a binary32 bit pattern to a word of ``fmt`` through ``encoder``.
 
-    Zeros and subnormals flush to the zero word; NaN and infinities map to NaR.
+    ``encoder`` takes ``encode``'s arguments.  Zeros and subnormals flush to
+    the zero word; NaN and infinities map to NaR.
     """
     exp_field = (x_bits >> 23) & 0xFF
     if exp_field == 0xFF:
@@ -198,29 +200,53 @@ def from_binary32(x_bits: int, fmt: FixedPositFormat) -> PositWord:
         return zero_word(fmt)
     sign = -1 if x_bits >> 31 else 1
     significand = (1 << 23) | (x_bits & 0x7FFFFF)
-    return encode(sign, exp_field - 127, significand, 23, fmt)
+    return encoder(sign, exp_field - 127, significand, 23, fmt)
+
+
+def from_binary32(x_bits: int, fmt: FixedPositFormat) -> PositWord:
+    """Convert a binary32 bit pattern to a fixed-posit word (see ``encode_binary32``)."""
+    return encode_binary32(x_bits, fmt, encode)
+
+
+def exact_product(da: DecodedNumber, db: DecodedNumber) -> tuple[int, int, int, int]:
+    """Exact product of two normal numbers as ``encode``'s (sign, scale, num, den_log2)."""
+    product = da.significand * db.significand
+    den_log2 = da.fraction_bits + db.fraction_bits
+    scale = da.scale + db.scale
+    if product >= 2 << den_log2:
+        den_log2 += 1
+        scale += 1
+    return da.sign * db.sign, scale, product, den_log2
 
 
 def to_binary64(w: PositWord) -> float:
-    """The exactly-represented value of a word as a binary64 float."""
+    """The value of a word as a binary64 float; raises unless it is exactly one."""
     d = decode(w)
     if d.is_zero:
         return 0.0
     if d.is_nar:
         return math.nan
-    if d.fraction_bits > 52 or abs(d.scale) > 1022:
+    trailing = (d.significand & -d.significand).bit_length() - 1
+    low = d.scale - d.fraction_bits + trailing  # exponent of the lowest set bit
+    if d.scale > 1023 or low < max(d.scale - 52, -1074):
         raise ValueError(f"{w.fmt} word does not fit exactly in binary64")
-    return d.sign * math.ldexp(d.significand, d.scale - d.fraction_bits)
+    return d.sign * math.ldexp(d.significand >> trailing, low)
 
 
-def pack_binary32(sign: int, scale: int, significand: int, fraction_bits: int) -> int:
-    """Correctly round sign * significand * 2**(scale - fraction_bits) to binary32.
+def binary32_bits(d: DecodedNumber) -> int:
+    """Correctly-rounded binary32 bit pattern of a decoded value.
 
-    Produces subnormal patterns below 2**-126 and infinity on overflow.
+    Zero gives +0 and NaR the quiet NaN 0x7FC00000.  Magnitudes below
+    2**-126 give subnormal patterns and overflow gives infinity.
     """
-    s_bit = 0 if sign > 0 else 1 << 31
+    if d.is_zero:
+        return 0
+    if d.is_nar:
+        return 0x7FC00000
+    s_bit = 0 if d.sign > 0 else 1 << 31
+    scale = d.scale
     if scale >= -126:
-        sig24 = round_to_nearest_even(significand, fraction_bits - 23)
+        sig24 = round_to_nearest_even(d.significand, d.fraction_bits - 23)
         if sig24 == 1 << 24:
             sig24 >>= 1
             scale += 1
@@ -228,18 +254,13 @@ def pack_binary32(sign: int, scale: int, significand: int, fraction_bits: int) -
             return s_bit | 0x7F800000
         return s_bit | ((scale + 127) << 23) | (sig24 & 0x7FFFFF)
     # Subnormal target grid: multiples of 2**-149.
-    mantissa = round_to_nearest_even(significand, fraction_bits - scale - 149)
+    mantissa = round_to_nearest_even(d.significand, d.fraction_bits - scale - 149)
     return s_bit | mantissa  # mantissa == 2**23 lands on the smallest normal
 
 
 def to_binary32(w: PositWord) -> int:
     """Correctly-rounded binary32 bit pattern of a word; NaR becomes a quiet NaN."""
-    d = decode(w)
-    if d.is_zero:
-        return 0
-    if d.is_nar:
-        return 0x7FC00000
-    return pack_binary32(d.sign, d.scale, d.significand, d.fraction_bits)
+    return binary32_bits(decode(w))
 
 
 def float_to_bits32(x: float) -> int:

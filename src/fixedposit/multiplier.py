@@ -18,6 +18,7 @@ from .codec import (
     bits32_to_float,
     decode,
     encode,
+    exact_product,
     float_to_bits32,
     from_binary32,
     nar_word,
@@ -159,15 +160,7 @@ def mul_reference(a: PositWord, b: PositWord) -> PositWord:
         return nar_word(fmt)
     if a.is_zero or b.is_zero:
         return zero_word(fmt)
-    da = decode(a)
-    db = decode(b)
-    product = da.significand * db.significand
-    den_log2 = da.fraction_bits + db.fraction_bits
-    scale = da.scale + db.scale
-    if product >= 2 << den_log2:
-        den_log2 += 1
-        scale += 1
-    return encode(da.sign * db.sign, scale, product, den_log2, fmt)
+    return encode(*exact_product(decode(a), decode(b)), fmt)
 
 
 def mul_binary32_bits(fmt: FixedPositFormat, a_bits: int, b_bits: int) -> int:

@@ -5,30 +5,30 @@ two's-complement negatives, but a variable-length regime terminated by an
 opposite bit.  When the regime squeezes out exponent bits, the surviving
 bits are the high-order bits of the exponent (low bits read as zero).  A
 magnitude whose post-sign bits are all identical has no terminator; its run
-counts as n-2 bits and the last bit is data.
+counts as n-2 bits and the last bit is data.  The binary32 bridge and the
+exact product come from ``codec``, shared with fixed-posit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
 from .codec import (
     DecodedNumber,
     NumberClass,
     PositWord,
-    bits32_to_float,
-    float_to_bits32,
+    binary32_bits,
+    encode_binary32,
+    exact_product,
     nar_word,
-    pack_binary32,
     round_to_nearest_even,
     zero_word,
 )
 from .formats import PositFormat
 
 
-def _split_magnitude(body: int, fmt: PositFormat) -> tuple[int, int, int, int]:
-    """Regime k, exponent, significand, and fraction width of a positive body."""
+def _split_magnitude(body: int, fmt: PositFormat, sign: int = 1) -> DecodedNumber:
+    """The value of a positive body (all bits after the sign), with ``sign`` applied."""
     n, es = fmt.n, fmt.es
     width = n - 1
     lead = (body >> (width - 1)) & 1
@@ -47,7 +47,7 @@ def _split_magnitude(body: int, fmt: PositFormat) -> tuple[int, int, int, int]:
     exponent = (rest >> (rest_len - e_take)) << (es - e_take)
     f_len = rest_len - e_take
     significand = (1 << f_len) | (rest & ((1 << f_len) - 1))
-    return k, exponent, significand, f_len
+    return DecodedNumber(NumberClass.NORMAL, sign, (k << es) + exponent, significand, f_len)
 
 
 def posit_decode(w: PositWord) -> DecodedNumber:
@@ -63,16 +63,7 @@ def posit_decode(w: PositWord) -> DecodedNumber:
         return DecodedNumber.nar()
     sign = -1 if bits >> (n - 1) else 1
     mag = (-bits) & ((1 << n) - 1) if sign < 0 else bits
-    k, exponent, significand, f_len = _split_magnitude(mag, fmt)
-    return DecodedNumber(NumberClass.NORMAL, sign, (k << fmt.es) + exponent, significand, f_len)
-
-
-def _body_value(body: int, fmt: PositFormat) -> Fraction:
-    k, exponent, significand, f_len = _split_magnitude(body, fmt)
-    shift = (k << fmt.es) + exponent - f_len
-    if shift >= 0:
-        return Fraction(significand << shift)
-    return Fraction(significand, 1 << -shift)
+    return _split_magnitude(mag, fmt, sign)
 
 
 def _encode_nearest_body(value: Fraction, fmt: PositFormat) -> int:
@@ -81,21 +72,25 @@ def _encode_nearest_body(value: Fraction, fmt: PositFormat) -> int:
     Handles the regime-truncation zone where field boundaries shift between
     neighboring patterns; used only near the format's extremes.
     """
+
+    def value_of(body: int) -> Fraction:
+        return _split_magnitude(body, fmt).exact_value()
+
     lo, hi = 1, (1 << (fmt.n - 1)) - 1
-    if value >= _body_value(hi, fmt):
+    if value >= value_of(hi):
         return hi
-    if value <= _body_value(lo, fmt):
+    if value <= value_of(lo):
         return lo
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _body_value(mid, fmt) <= value:
+        if value_of(mid) <= value:
             lo = mid
         else:
             hi = mid - 1
-    below = _body_value(lo, fmt)
+    below = value_of(lo)
     if below == value:
         return lo
-    above = _body_value(lo + 1, fmt)
+    above = value_of(lo + 1)
     if value - below < above - value:
         return lo
     if above - value < value - below:
@@ -118,51 +113,34 @@ def posit_encode(
     n, es = fmt.n, fmt.es
     width = n - 1
     num, den = significand_num, significand_den_log2
-    body = None
-    for _ in range(2):
+    while True:  # at most twice: after a carry the significand is exactly 1
         k = scale >> es
         exponent = scale - (k << es)
         regime_len = k + 2 if k >= 0 else 1 - k
         if regime_len + es > width:
             # Exponent truncation zone: fall back to the exact search.
-            shift = scale - den
-            value = Fraction(num << shift) if shift >= 0 else Fraction(num, 1 << -shift)
+            value = DecodedNumber(NumberClass.NORMAL, 1, scale, num, den).exact_value()
             body = _encode_nearest_body(value, fmt)
             break
         f_avail = width - regime_len - es
         sig = round_to_nearest_even(num, den - f_avail)
-        if sig == 2 << f_avail:
-            scale += 1
-            num, den = 1, 0  # carried out: re-split the scale and retry
-            continue
-        regime = (((1 << (k + 1)) - 1) << 1) if k >= 0 else 1
-        body = (regime << (es + f_avail)) | (exponent << f_avail) | (sig - (1 << f_avail))
-        break
-    assert body is not None
+        if sig < 2 << f_avail:
+            regime = (((1 << (k + 1)) - 1) << 1) if k >= 0 else 1
+            body = (regime << (es + f_avail)) | (exponent << f_avail) | (sig - (1 << f_avail))
+            break
+        scale, num, den = scale + 1, 1, 0  # carried out: re-split the scale and retry
     bits = body if sign > 0 else (-body) & ((1 << n) - 1)
     return PositWord(bits, fmt)
 
 
 def posit_from_binary32(x_bits: int, fmt: PositFormat) -> PositWord:
     """Convert a binary32 bit pattern to a posit word (subnormals flush to zero)."""
-    exp_field = (x_bits >> 23) & 0xFF
-    if exp_field == 0xFF:
-        return nar_word(fmt)
-    if exp_field == 0:
-        return zero_word(fmt)
-    sign = -1 if x_bits >> 31 else 1
-    significand = (1 << 23) | (x_bits & 0x7FFFFF)
-    return posit_encode(sign, exp_field - 127, significand, 23, fmt)
+    return encode_binary32(x_bits, fmt, posit_encode)
 
 
 def posit_to_binary32(w: PositWord) -> int:
     """Correctly-rounded binary32 bit pattern of a posit word."""
-    d = posit_decode(w)
-    if d.is_zero:
-        return 0
-    if d.is_nar:
-        return 0x7FC00000
-    return pack_binary32(d.sign, d.scale, d.significand, d.fraction_bits)
+    return binary32_bits(posit_decode(w))
 
 
 def posit_mul_binary32_bits(fmt: PositFormat, a_bits: int, b_bits: int) -> int:
@@ -170,25 +148,9 @@ def posit_mul_binary32_bits(fmt: PositFormat, a_bits: int, b_bits: int) -> int:
     wa = posit_from_binary32(a_bits, fmt)
     wb = posit_from_binary32(b_bits, fmt)
     if wa.is_nar or wb.is_nar:
-        return 0x7FC00000
-    if wa.is_zero or wb.is_zero:
-        return 0
-    da = posit_decode(wa)
-    db = posit_decode(wb)
-    product = da.significand * db.significand
-    den_log2 = da.fraction_bits + db.fraction_bits
-    scale = da.scale + db.scale
-    if product >= 2 << den_log2:
-        den_log2 += 1
-        scale += 1
-    wc = posit_encode(da.sign * db.sign, scale, product, den_log2, fmt)
+        wc = nar_word(fmt)
+    elif wa.is_zero or wb.is_zero:
+        wc = zero_word(fmt)
+    else:
+        wc = posit_encode(*exact_product(posit_decode(wa), posit_decode(wb)), fmt)
     return posit_to_binary32(wc)
-
-
-def posit_mul_binary32_via(fmt: PositFormat) -> Callable[[float, float], float]:
-    """A binary32 multiply substitute routed through a standard posit format."""
-
-    def mul(a: float, b: float) -> float:
-        return bits32_to_float(posit_mul_binary32_bits(fmt, float_to_bits32(a), float_to_bits32(b)))
-
-    return mul

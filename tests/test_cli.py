@@ -74,6 +74,24 @@ def test_enumerate_all_widths_has_38_rows(capsys):
     assert len(report["results"]) == 38
 
 
+@pytest.mark.parametrize(
+    "argv, footer",
+    [
+        (("enumerate", "--all-paper-widths"), 1),
+        (("sweep", "--all-paper-widths", "--samples", "100"), 0),
+        (("workload", "--name", "dot", "--sweep-widths", "--size", "8"), 0),
+    ],
+    ids=["enumerate", "sweep", "workload"],
+)
+def test_text_table_lines_have_one_width(capsys, argv, footer):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    table = lines[: len(lines) - footer]
+    assert len(table) > 1
+    assert {len(line) for line in table} == {len(table[0])}, table[:2]
+
+
 def test_enumerate_width_5_is_empty_but_ok(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--width", "5")
     assert code == 0
@@ -92,6 +110,8 @@ def test_convert_examples(capsys):
     report = run_json(capsys, "convert", "--fmt", "32,6,2", "--value", "nan")
     assert report["results"][0]["class"] == "nar"
     assert report["results"][0]["word_hex"] == "0x80000000"
+    report = run_json(capsys, "convert", "--fmt", "60,2,2", "--value", "1.0")  # 55 fraction bits
+    assert report["results"][0]["value"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -183,6 +203,26 @@ def test_sweep_rejects_zero_samples(capsys):
             ("sweep", "--fmt", "18,6,2", "--samples", "ten"),
             "invalid int value: 'ten'",
             id="non-int",
+        ),
+        pytest.param(
+            ("sweep", "--fmt", "18,6,2", "--samples", "10", "--seed", "-1"),
+            "argument --seed: not a non-negative integer: '-1'",
+            id="sweep-negative-seed",
+        ),
+        pytest.param(
+            ("workload", "--name", "dot", "--fmt", "18,6,2", "--seed", "-1"),
+            "argument --seed: not a non-negative integer: '-1'",
+            id="workload-negative-seed",
+        ),
+        pytest.param(
+            ("convert", "--fmt", "32,6,2", "--value", "0x"),
+            "argument --value: not a decimal value, 32-bit 0xHEX or nan: '0x'",
+            id="value-0x",
+        ),
+        pytest.param(
+            ("mul", "--fmt", "8,2,2", "--a", "2", "--b", "1x"),
+            "argument --b: not a decimal value, 32-bit 0xHEX or nan: '1x'",
+            id="b-1x",
         ),
         pytest.param(("transpose",), "invalid choice: 'transpose'", id="unknown-command"),
         pytest.param((), "the following arguments are required: command", id="no-command"),

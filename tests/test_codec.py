@@ -131,13 +131,26 @@ def test_to_binary64_examples():
     assert to_binary64(zero_word(F822)) == 0.0
     assert to_binary64(PositWord(0x7F, F822)) == 240.0
     assert math.isnan(to_binary64(nar_word(F822)))
+    # The value decides, not the format: a wide fraction, a scale past 1022
+    # and binary64 subnormals all convert when the value is exact.
+    f1602 = FixedPositFormat(16, 10, 2)
+    assert to_binary64(encode(1, 0, 1, 0, FixedPositFormat(60, 2, 2))) == 1.0
+    assert to_binary64(encode(1, 1023, 1, 0, f1602)) == 2.0**1023
+    assert to_binary64(encode(-1, -1030, 1, 0, f1602)) == -(2.0**-1030)
+    assert to_binary64(encode(1, -1071, 0b1001, 3, f1602)) == 9 * 2.0**-1074
 
 
 def test_to_binary64_precondition():
     fmt = FixedPositFormat(64, 10, 1)  # scale range reaches -1024
-    w = encode(1, -1024, 1, 0, fmt)
-    with pytest.raises(ValueError):
-        to_binary64(w)
+    f1602 = FixedPositFormat(16, 10, 2)
+    for w in (
+        encode(1, -1024, 1, 0, fmt),  # nudged off the zero pattern: (1 + 2**-52) * 2**-1024
+        encode(1, 1024, 1, 0, f1602),  # beyond the largest binary64
+        encode(1, -1072, 0b1001, 3, f1602),  # lowest bit 2**-1075, below the subnormal grid
+        PositWord((1 << 59) - 1, FixedPositFormat(60, 2, 2)),  # maxpos: 56 significant bits
+    ):
+        with pytest.raises(ValueError, match="does not fit exactly in binary64"):
+            to_binary64(w)
 
 
 def test_to_binary32_examples():

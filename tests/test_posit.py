@@ -10,13 +10,13 @@ from fixedposit import (
     FixedPositFormat,
     PositFormat,
     PositWord,
+    bits32_to_float,
     float_to_bits32,
     mul_binary32_bits,
     posit_decode,
     posit_encode,
     posit_from_binary32,
     posit_mul_binary32_bits,
-    posit_mul_binary32_via,
     posit_to_binary32,
 )
 
@@ -135,10 +135,38 @@ def test_conversion_rounds_outside_central_scales():
 
 
 def test_mul_exact_product():
-    mul = posit_mul_binary32_via(P326)
+    def mul(a, b):
+        return bits32_to_float(posit_mul_binary32_bits(P326, float_to_bits32(a), float_to_bits32(b)))
+
     assert mul(1.5, 2.5) == 3.75
     assert mul(0.0, 5.0) == 0.0
     assert math.isnan(mul(math.nan, 2.0))
+
+
+def test_binary32_bridge_on_every_small_posit_word():
+    # Every word of every posit (n <= 12, es <= 4): 40,832 words, reaching
+    # binary32 overflow, subnormals and underflow to zero.
+    words = 0
+    for n in range(3, 13):
+        for es in range(min(4, n - 2) + 1):
+            fmt = PositFormat(n, es)
+            nar = 1 << (n - 1)
+            got = [posit_to_binary32(PositWord(bits, fmt)) for bits in range(1 << n)]
+            values = [
+                posit_decode(PositWord(bits, fmt)).exact_value() if bits != nar else 0
+                for bits in range(1 << n)
+            ]
+            # At most 12 significant bits and scales within +-160: float() is exact.
+            with np.errstate(over="ignore"):
+                want = np.array([float(v) for v in values]).astype(np.float32).view(np.uint32)
+            want[nar] = 0x7FC00000
+            assert got == want.tolist(), fmt
+            for bits, (pattern, value) in enumerate(zip(got, values)):
+                normal = 0x00800000 <= pattern & 0x7FFFFFFF < 0x7F800000
+                if bits != nar and normal and bits32_to_float(pattern) == value:
+                    assert posit_from_binary32(pattern, fmt).bits == bits, (fmt, bits)
+            words += 1 << n
+    assert words == 40_832
 
 
 def test_scale_restricted_equivalence_with_fixed_posit():
