@@ -59,10 +59,67 @@ def _binary32_arg(text: str) -> int:
     return bits
 
 
+def _is_value(text: str) -> bool:
+    try:
+        _binary32_arg(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+_VALUE_FLAGS = ("--value", "--a", "--b")
+
+
+def _join_value_tokens(argv: list[str]) -> list[str]:
+    """Write ``--value -1.5e3`` as ``--value=-1.5e3``, so argparse keeps it a value.
+
+    argparse reads a separate token that starts with ``-`` as an option unless
+    it looks like ``-12`` or ``-1.5``, which loses ``-1e39``, ``-inf`` and
+    ``-nan``.  A token is joined to its flag only when it parses as a value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and _is_value(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _seed_arg(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
     return int(text)
+
+
+def _int_arg(minimum: int, problem: str):
+    """An integer flag of at least ``minimum``; ``problem`` opens the error for a smaller one."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{problem}, got {value}")
+        return value
+
+    return convert
+
+
+_count_arg = _int_arg(1, "must be positive")
+
+
+def _fmt_arg(text: str) -> FixedPositFormat:
+    try:
+        return parse_fixed_posit(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _workload_fmt_arg(text: str) -> FixedPositFormat | str:
+    """A format, or ``reference``: the run with native binary32 multiplies."""
+    return text if text == "reference" else _fmt_arg(text)
 
 
 def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
@@ -105,9 +162,8 @@ def _describe_word(word: PositWord) -> dict:
 
 
 def cmd_convert(args: argparse.Namespace, report: dict) -> None:
-    fmt = parse_fixed_posit(args.fmt)
-    entry = {"format": _fmt_triple(fmt), "input_bits": f"0x{args.value:08x}"}
-    entry.update(_describe_word(from_binary32(args.value, fmt)))
+    entry = {"format": _fmt_triple(args.fmt), "input_bits": f"0x{args.value:08x}"}
+    entry.update(_describe_word(from_binary32(args.value, args.fmt)))
     report["results"].append(entry)
     if not args.json:
         shown = "NaR" if entry["class"] == "nar" else entry["value"]
@@ -120,12 +176,11 @@ def cmd_convert(args: argparse.Namespace, report: dict) -> None:
 
 
 def cmd_mul(args: argparse.Namespace, report: dict) -> None:
-    fmt = parse_fixed_posit(args.fmt)
-    wa = from_binary32(args.a, fmt)
-    wb = from_binary32(args.b, fmt)
+    wa = from_binary32(args.a, args.fmt)
+    wb = from_binary32(args.b, args.fmt)
     wc, trace = mul_datapath_traced(wa, wb)
     entry = {
-        "format": _fmt_triple(fmt),
+        "format": _fmt_triple(args.fmt),
         "a_word": str(wa),
         "b_word": str(wb),
         "result": _describe_word(wc),
@@ -145,7 +200,7 @@ def cmd_sweep(args: argparse.Namespace, report: dict) -> None:
     if args.all_paper_widths:
         formats = [fmt for width in SWEEP_WIDTHS for fmt in enumerate_ieee_equivalent(width)]
     else:
-        formats = [parse_fixed_posit(args.fmt)]
+        formats = [args.fmt]
     report["samples"] = args.samples
     report["distribution"] = args.dist
     for fmt in formats:
@@ -169,10 +224,8 @@ def cmd_workload(args: argparse.Namespace, report: dict) -> None:
         formats: list[FixedPositFormat | None] = [
             FixedPositFormat(width, 6, 2) for width in SWEEP_WIDTHS
         ]
-    elif args.fmt == "reference":
-        formats = [None]
     else:
-        formats = [parse_fixed_posit(args.fmt)]
+        formats = [None if args.fmt == "reference" else args.fmt]
     image = read_pgm(args.image) if args.image else None
     report["workload"] = args.name
     for fmt in formats:
@@ -226,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list formats matching the binary32 scale range")
     group = p_enum.add_mutually_exclusive_group(required=True)
-    group.add_argument("--width", type=int, help="total bit width to enumerate")
+    group.add_argument(
+        "--width",
+        type=_int_arg(4, "bit width must be at least 4"),
+        help="total bit width to enumerate",
+    )
     group.add_argument(
         "--all-paper-widths",
         action="store_true",
@@ -236,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_conv = sub.add_parser("convert", help="convert a binary32 value to a fixed-posit word")
-    p_conv.add_argument("--fmt", required=True, help="format as N,es,rs")
+    p_conv.add_argument("--fmt", required=True, type=_fmt_arg, help="format as N,es,rs")
     p_conv.add_argument("--value", required=True, type=_binary32_arg, help="decimal, 0xHEX or nan")
     _add_common(p_conv)
     p_conv.set_defaults(func=cmd_convert)
 
     p_mul = sub.add_parser("mul", help="multiply two values through the datapath")
-    p_mul.add_argument("--fmt", required=True, help="format as N,es,rs")
+    p_mul.add_argument("--fmt", required=True, type=_fmt_arg, help="format as N,es,rs")
     p_mul.add_argument("--a", required=True, type=_binary32_arg, help="left operand, like --value")
     p_mul.add_argument("--b", required=True, type=_binary32_arg, help="right operand, as --a")
     p_mul.add_argument(
@@ -253,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="conversion error sweep over random binary32 samples")
     group = p_sweep.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fmt", help="format as N,es,rs")
+    group.add_argument("--fmt", type=_fmt_arg, help="format as N,es,rs")
     group.add_argument(
         "--all-paper-widths",
         action="store_true",
         help="sweep every enumerated format for widths 18..32 (even)",
     )
-    p_sweep.add_argument("--samples", type=int, default=100_000, help="sample count")
+    p_sweep.add_argument("--samples", type=_count_arg, default=100_000, help="sample count")
     p_sweep.add_argument("--dist", choices=DISTRIBUTIONS, default="log-uniform")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -267,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_work = sub.add_parser("workload", help="run a multiply-substitution workload")
     p_work.add_argument("--name", required=True, choices=WORKLOAD_NAMES)
     group = p_work.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fmt", help="format as N,es,rs, or 'reference'")
+    group.add_argument("--fmt", type=_workload_fmt_arg, help="format as N,es,rs, or 'reference'")
     group.add_argument(
         "--sweep-widths",
         action="store_true",
         help="run (N,6,2) for every width in 18..32 (even)",
     )
-    p_work.add_argument("--size", type=int, default=None, help="workload size parameter")
+    p_work.add_argument("--size", type=_count_arg, default=None, help="workload size parameter")
     p_work.add_argument(
         "--trace-out",
         help="write the operand trace to this file; --sweep-widths writes STEM-N_es_rs.SUFFIX",
@@ -288,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; input errors print one ``error:`` line and return 2."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_value_tokens(argv))
         report = {
             "tool": "fixedposit",
             "version": __version__,

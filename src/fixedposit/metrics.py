@@ -11,6 +11,7 @@ from .batch import from_binary32_batch, to_binary64_batch
 from .formats import FixedPositFormat
 
 PSNR_CAP_DB = 100.0
+PSNR_PEAK = 255.0  # 8-bit images
 
 DISTRIBUTIONS = ("log-uniform", "uniform-real")
 
@@ -26,55 +27,52 @@ class ErrorReport:
     skipped: int = 0
 
 
-def rmse(reference, approximation) -> float:
-    """Root mean squared difference of two equal-length sequences."""
-    ref = np.asarray(reference, dtype=np.float64)
-    approx = np.asarray(approximation, dtype=np.float64)
+def _compare(reference, approximation) -> tuple[np.ndarray, np.ndarray, float]:
+    """Both inputs as flat float64 or complex128 (float64 is not copied), and their MSE."""
+    ref = np.asarray(reference)
+    approx = np.asarray(approximation)
     if ref.shape != approx.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {approx.shape}")
     if ref.size == 0:
         raise ValueError("need at least one sample")
-    return float(np.sqrt(np.mean((ref - approx) ** 2)))
+    dtype = np.complex128 if np.iscomplexobj(ref) or np.iscomplexobj(approx) else np.float64
+    ref = ref.astype(dtype, copy=False).ravel()
+    approx = approx.astype(dtype, copy=False).ravel()
+    return ref, approx, float(np.mean(np.abs(ref - approx) ** 2))
 
 
-def psnr_db(reference, approximation, peak: float = 255.0) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 100 for identical inputs."""
-    ref = np.asarray(reference, dtype=np.float64)
-    approx = np.asarray(approximation, dtype=np.float64)
-    if ref.shape != approx.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {approx.shape}")
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
-    mse = float(np.mean((ref - approx) ** 2))
+def rmse(reference, approximation) -> float:
+    """Root mean squared difference of two equal-shape sequences."""
+    return math.sqrt(_compare(reference, approximation)[2])
+
+
+def psnr_db(reference, approximation) -> float:
+    """PSNR of 8-bit images in dB, capped at 100 for identical inputs; NaN stays NaN."""
+    mse = _compare(reference, approximation)[2]
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
+    # min(nan, cap) is nan, where min(cap, nan) would read a NaN output as perfect
+    return min(10.0 * math.log10(PSNR_PEAK * PSNR_PEAK / mse), PSNR_CAP_DB)
 
 
 def error_report(reference, approximation) -> ErrorReport:
     """Elementwise relative error ``100 * |x - x'| / |x|``, aggregated.
 
-    Elements whose reference is zero or non-finite (NaN included) are
-    excluded from the relative-error statistics and counted in ``skipped``;
-    RMSE still includes every element.
+    Real or complex inputs.  Elements whose reference is zero or non-finite
+    (NaN included) are excluded from the relative-error statistics and
+    counted in ``skipped``; RMSE still includes every element.
     """
-    ref = np.asarray(reference, dtype=np.float64).ravel()
-    approx = np.asarray(approximation, dtype=np.float64).ravel()
-    if ref.shape != approx.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {approx.shape}")
-    if ref.size == 0:
-        raise ValueError("need at least one sample")
+    ref, approx, mse = _compare(reference, approximation)
     usable = np.isfinite(ref) & (ref != 0)
-    kept_ref, kept_approx = ref, approx
     if not usable.all():  # a boolean index copies, so skip it when nothing is excluded
-        kept_ref, kept_approx = ref[usable], approx[usable]
-    rel = 100.0 * np.abs(kept_ref - kept_approx) / np.abs(kept_ref)
+        ref, approx = ref[usable], approx[usable]
+    rel = 100.0 * np.abs(ref - approx) / np.abs(ref)
     return ErrorReport(
-        count=int(ref.size),
+        count=int(usable.size),
         max_rel_err_pct=float(rel.max()) if rel.size else 0.0,
         mean_rel_err_pct=float(rel.mean()) if rel.size else 0.0,
-        rmse=rmse(ref, approx),
-        skipped=int(ref.size - rel.size),
+        rmse=math.sqrt(mse),
+        skipped=int(usable.size - rel.size),
     )
 
 
@@ -87,7 +85,7 @@ def _sample_binary32(
         fractions = rng.integers(0, 1 << 23, size=count, dtype=np.int64)
         return ((exponents + 127) << 23) | fractions
     if distribution == "uniform-real":
-        reals = rng.uniform(2.0**-126, 2.0**127, size=count)
+        reals = rng.uniform(2.0**-126, float(np.finfo(np.float32).max), size=count)
         return reals.astype(np.float32).view(np.uint32).astype(np.int64)
     raise ValueError(f"unknown distribution {distribution!r}; pick one of {DISTRIBUTIONS}")
 

@@ -129,6 +129,19 @@ def test_values_beyond_binary32_round_to_infinity(capsys, command, beyond, infin
     assert got["results"] == expected["results"]
 
 
+@pytest.mark.parametrize("token", ["-1.5e3", "-1e39", "-inf", "-nan"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(("convert", "--fmt", "32,6,2"), "--value"), (("mul", "--fmt", "32,6,2", "--a", "2"), "--b")],
+    ids=["convert", "mul"],
+)
+def test_negative_value_as_separate_token(capsys, command, flag, token):
+    separate = run_json(capsys, *command, flag, token)
+    joined = run_json(capsys, *command, f"{flag}={token}")
+    assert separate["results"] == joined["results"]
+    assert separate["argv"] == [*command, flag, token, "--json"]
+
+
 def test_convert_rejects_bad_format(capsys):
     assert "fraction" in run_error(capsys, "convert", "--fmt", "18,3,16", "--value", "1.0")
 
@@ -223,6 +236,41 @@ def test_sweep_rejects_zero_samples(capsys):
             ("mul", "--fmt", "8,2,2", "--a", "2", "--b", "1x"),
             "argument --b: not a decimal value, 32-bit 0xHEX or nan: '1x'",
             id="b-1x",
+        ),
+        pytest.param(
+            ("convert", "--fmt", "32,6", "--value", "1"),
+            "argument --fmt: expected N,es,rs but got '32,6'",
+            id="convert-fmt",
+        ),
+        pytest.param(
+            ("mul", "--fmt", "8,2,x", "--a", "2", "--b", "3"),
+            "argument --fmt: expected three integers in '8,2,x'",
+            id="mul-fmt",
+        ),
+        pytest.param(
+            ("sweep", "--fmt", "18,3,16"),
+            "argument --fmt: (18,3,16) leaves -2 fraction bits",
+            id="sweep-fmt",
+        ),
+        pytest.param(
+            ("workload", "--name", "dot", "--fmt", "refrence"),
+            "argument --fmt: expected N,es,rs but got 'refrence'",
+            id="workload-fmt",
+        ),
+        pytest.param(
+            ("sweep", "--fmt", "18,6,2", "--samples", "0"),
+            "argument --samples: must be positive, got 0",
+            id="samples-0",
+        ),
+        pytest.param(
+            ("workload", "--name", "dot", "--fmt", "18,6,2", "--size", "-3"),
+            "argument --size: must be positive, got -3",
+            id="size-negative",
+        ),
+        pytest.param(
+            ("enumerate", "--width", "3"),
+            "argument --width: bit width must be at least 4, got 3",
+            id="width-3",
         ),
         pytest.param(("transpose",), "invalid choice: 'transpose'", id="unknown-command"),
         pytest.param((), "the following arguments are required: command", id="no-command"),

@@ -64,8 +64,17 @@ def test_psnr_examples():
     assert psnr_db(np.zeros((4, 4)), np.full((4, 4), 255.0)) == 0.0
     with pytest.raises(ValueError):
         psnr_db(np.zeros((4, 4)), np.zeros((4, 5)))
-    with pytest.raises(ValueError):
-        psnr_db(img, img, peak=0.0)
+
+
+def test_empty_inputs_are_rejected():
+    for metric in (rmse, psnr_db, error_report):
+        with pytest.raises(ValueError, match="at least one sample"):
+            metric([], [])
+
+
+def test_psnr_propagates_nan():
+    assert math.isnan(psnr_db([1.0, math.nan], [1.0, 2.0]))
+    assert math.isnan(rmse([1.0, math.nan], [1.0, 2.0]))
 
 
 def test_psnr_and_rmse_agree_on_zero_error():
@@ -89,6 +98,14 @@ def test_error_report_skips_zero_and_nonfinite_references():
     assert report.max_rel_err_pct == 25.0
     assert report.mean_rel_err_pct == 12.5
     assert report.max_rel_err_pct >= report.mean_rel_err_pct >= 0.0
+
+
+def test_error_report_on_complex_values():
+    report = error_report([3 + 4j], [3 + 5j])  # |1j| / |3 + 4j|
+    assert report.mean_rel_err_pct == report.max_rel_err_pct == 20.0
+    assert report.rmse == 1.0
+    report = error_report([0j, 1j, complex(math.inf, 0)], [1j, 1.5j, 0j])
+    assert (report.count, report.skipped, report.max_rel_err_pct) == (3, 2, 50.0)
 
 
 def test_error_report_serializes_stably():
@@ -134,3 +151,9 @@ def test_sweep_exact_formats_report_zero():
         report = sweep_conversion_error(FixedPositFormat(*triple), 50_000, 4)
         assert report.max_rel_err_pct == 0.0
         assert report.rmse == 0.0
+
+
+def test_uniform_real_sweep_reaches_top_end_saturation():
+    fmt = FixedPositFormat(22, 3, 16)  # 2 fraction bits; maxpos is 1.75 * 2**127
+    report = sweep_conversion_error(fmt, 20_000, 67, "uniform-real")
+    assert report.max_rel_err_pct > 100.0 * 2.0**-3 / (1 + 2.0**-3)  # beyond rounding's worst case
