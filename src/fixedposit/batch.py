@@ -213,21 +213,30 @@ def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
 
 def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Binary64 value of ``from_binary32`` of each binary32 operand; NaR is NaN."""
+    flat = x32.ravel()  # on 0-d arrays the in-place ufuncs below would return scalars
     with np.errstate(invalid="ignore"):  # widening a signalling NaN flags invalid
-        x = x32.astype(np.float64)
-    exp_field = x32.view(np.uint32) & np.uint32(0x7F800000)
+        x = flat.astype(np.float64)
+    exp_field = flat.view(np.uint32) & np.uint32(0x7F800000)
     x[exp_field == 0] = 0.0  # zeros and subnormals flush
     x[exp_field == 0x7F800000] = np.nan  # one NaN pattern, safe to round
-    return _quantize(x, fmt)
+    return _quantize(x, fmt).reshape(x32.shape)
 
 
 def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Substituted multiply over float32 arrays (any broadcastable shapes)."""
+    """Substituted multiply over float32 arrays (any broadcastable shapes).
+
+    Each operand is quantised once at its own shape; only the product is
+    broadcast, so a column times a row quantises ``n + m`` operands, not
+    ``2 * n * m``.
+    """
     _check_fmt(fmt)
-    a32, b32 = np.broadcast_arrays(np.asarray(a, np.float32), np.asarray(b, np.float32))
-    product = _operand(a32, fmt)
-    product *= _operand(b32, fmt)
-    _quantize(product, fmt)
+    qa = _operand(np.asarray(a, np.float32), fmt)
+    qb = _operand(np.asarray(b, np.float32), fmt)
+    shape = np.broadcast_shapes(qa.shape, qb.shape)
+    # Writing into an operand of the full shape, when there is one, saves an array.
+    full = qa if qa.shape == shape else qb if qb.shape == shape else None
+    product = np.multiply(qa, qb, out=full)
+    product = _quantize(product.reshape(-1), fmt).reshape(shape)
     product += 0.0  # word 0 is +0, never -0
     with np.errstate(over="ignore"):
         out = product.astype(np.float32)

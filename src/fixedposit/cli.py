@@ -35,7 +35,15 @@ from .workloads import DEFAULT_SEED, WORKLOAD_NAMES, read_pgm, run_workload
 
 
 class _Parser(argparse.ArgumentParser):
-    """Sends usage errors to ``main``'s one error path, not to a usage dump and exit."""
+    """Sends usage errors to ``main``'s one error path, not to a usage dump and exit.
+
+    Long flags must be spelled in full: ``_join_value_tokens`` matches the
+    value flags by their full names.  Subcommand parsers are built by this
+    class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValueError(message)

@@ -47,10 +47,16 @@ def rmse(reference, approximation) -> float:
 
 
 def psnr_db(reference, approximation) -> float:
-    """PSNR of 8-bit images in dB, capped at 100 for identical inputs; NaN stays NaN."""
+    """PSNR of 8-bit images in dB, capped at 100 for identical inputs.
+
+    A NaN error gives NaN, and an infinite error gives ``-inf``, as ``rmse``
+    gives inf.
+    """
     mse = _compare(reference, approximation)[2]
     if mse == 0.0:
         return PSNR_CAP_DB
+    if mse == math.inf:
+        return -math.inf
     # min(nan, cap) is nan, where min(cap, nan) would read a NaN output as perfect
     return min(10.0 * math.log10(PSNR_PEAK * PSNR_PEAK / mse), PSNR_CAP_DB)
 

@@ -15,6 +15,7 @@ particular random draw.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,8 +35,10 @@ _F32 = np.float32
 class TracingMul:
     """Routes every scalar multiplication through ``fn``, counting operands.
 
-    With ``record=True`` the broadcast operand pairs are captured in order,
-    which is the software analogue of logging a multiplier's input trace.
+    ``count`` grows by the broadcast size of each call, but ``fn`` receives
+    the operands at their own shapes and broadcasts them itself.  With
+    ``record=True`` the broadcast operand pairs are captured in order, which
+    is the software analogue of logging a multiplier's input trace.
     """
 
     def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray], record: bool = False):
@@ -46,11 +49,12 @@ class TracingMul:
         self._b_chunks: list[np.ndarray] = []
 
     def __call__(self, a, b) -> np.ndarray:
-        a32, b32 = np.broadcast_arrays(np.asarray(a, _F32), np.asarray(b, _F32))
-        self.count += a32.size
+        a32, b32 = np.asarray(a, _F32), np.asarray(b, _F32)
+        self.count += math.prod(np.broadcast_shapes(a32.shape, b32.shape))
         if self.record:
-            self._a_chunks.append(np.ascontiguousarray(a32).view(np.uint32).ravel().copy())
-            self._b_chunks.append(np.ascontiguousarray(b32).view(np.uint32).ravel().copy())
+            wide_a, wide_b = np.broadcast_arrays(a32, b32)
+            self._a_chunks.append(np.ascontiguousarray(wide_a).view(np.uint32).ravel().copy())
+            self._b_chunks.append(np.ascontiguousarray(wide_b).view(np.uint32).ravel().copy())
         return self._fn(a32, b32)
 
     def trace(self) -> "OperandTrace":

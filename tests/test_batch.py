@@ -11,8 +11,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import BroadcastableShapes, mutually_broadcastable_shapes
 
 from fixedposit import (
     FixedPositFormat,
@@ -153,3 +154,62 @@ def test_special_operands_multiply_without_warnings(fmt):
     bits = ops.view(np.uint32)
     expected = [[mul_binary32_bits(fmt, int(a), int(b)) for b in bits] for a in bits]
     assert np.array_equal(out.view(np.uint32), np.array(expected, np.uint32))
+
+
+def test_scalar_operands_give_0d_results():
+    out = batch.mul_float32_batch(F1862, np.float32(2), np.float32(3))
+    assert isinstance(out, np.ndarray) and out.shape == () and out == np.float32(6)
+    two, three = (int(np.float32(v).view(np.uint32)) for v in (2.0, 3.0))
+    bits = batch.mul_binary32_batch(F1862, two, three)
+    assert isinstance(bits, np.ndarray) and bits.shape == ()
+    assert int(bits) == mul_binary32_bits(F1862, two, three)
+
+
+def broadcast_first_mul(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The substituted multiply quantising every broadcast lane, as it was composed before.
+
+    The lanes are flattened first, so the composition also takes 0-d operands.
+    """
+    a32, b32 = np.broadcast_arrays(np.asarray(a, np.float32), np.asarray(b, np.float32))
+    product = batch._operand(a32.ravel(), fmt)
+    product *= batch._operand(b32.ravel(), fmt)
+    batch._quantize(product, fmt)
+    product += 0.0
+    with np.errstate(over="ignore"):
+        out = product.astype(np.float32)
+    out.view(np.uint32)[np.isnan(out)] = 0x7FC00000
+    return out.reshape(a32.shape)
+
+
+def operands(fmt: FixedPositFormat, shape: tuple, seed: int) -> np.ndarray:
+    """float32 operands of ``shape``: edge patterns and random 32-bit patterns, mixed."""
+    rng = np.random.default_rng(seed)
+    edges = rng.choice(edge_operands(fmt), shape)
+    bits = np.where(rng.random(shape) < 0.5, edges, rng.integers(0, 1 << 32, shape))
+    return np.asarray(bits, np.int64).astype(np.uint32).view(np.float32)
+
+
+@pytest.mark.parametrize("fmt", [F1862, F32316], ids=str)
+@given(
+    shapes=mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=6),
+    seed=st.integers(0, 2**32 - 1),
+    strided=st.booleans(),
+)
+@example(shapes=BroadcastableShapes(((), ()), ()), seed=1, strided=False)
+@example(shapes=BroadcastableShapes(((7, 1), (5,)), (7, 5)), seed=2, strided=False)
+@example(shapes=BroadcastableShapes(((1, 5), (7, 1)), (7, 5)), seed=3, strided=False)
+@example(shapes=BroadcastableShapes(((7, 1), (5,)), (7, 5)), seed=4, strided=True)
+@settings(max_examples=150, deadline=None)
+def test_operands_at_own_shape_match_broadcast_first(fmt, shapes, seed, strided):
+    shape_a, shape_b = shapes.input_shapes
+    if strided and shape_a:
+        # A non-contiguous slice, like gemm's column a[:, k:k+1].
+        wide = operands(fmt, shape_a[:-1] + (3 * shape_a[-1],), seed)
+        a = wide[..., 1::3]
+    else:
+        a = operands(fmt, shape_a, seed)
+    b = operands(fmt, shape_b, seed + 1)
+    got = batch.mul_float32_batch(fmt, a, b)
+    expected = broadcast_first_mul(fmt, a, b)
+    assert got.shape == expected.shape == shapes.result_shape
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))

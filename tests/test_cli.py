@@ -272,6 +272,11 @@ def test_sweep_rejects_zero_samples(capsys):
             "argument --width: bit width must be at least 4, got 3",
             id="width-3",
         ),
+        pytest.param(
+            ("convert", "--fmt", "32,6,2", "--val", "-1e39"),
+            "the following arguments are required: --value",
+            id="abbreviated-flag",
+        ),
         pytest.param(("transpose",), "invalid choice: 'transpose'", id="unknown-command"),
         pytest.param((), "the following arguments are required: command", id="no-command"),
     ],

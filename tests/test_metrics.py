@@ -77,6 +77,11 @@ def test_psnr_propagates_nan():
     assert math.isnan(rmse([1.0, math.nan], [1.0, 2.0]))
 
 
+def test_psnr_of_an_infinite_error_is_minus_infinity():
+    assert psnr_db([0.0], [math.inf]) == -math.inf
+    assert rmse([0.0], [math.inf]) == math.inf
+
+
 def test_psnr_and_rmse_agree_on_zero_error():
     ref = np.arange(16.0).reshape(4, 4)
     assert rmse(ref, ref) == 0.0 and psnr_db(ref, ref) == 100.0

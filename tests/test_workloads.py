@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fixedposit import (
     trace_sample,
     write_pgm,
 )
+from fixedposit import batch
 from fixedposit.batch import mul_float32_batch
 from fixedposit.workloads import WORKLOAD_NAMES, native_mul
 
@@ -101,7 +104,13 @@ def test_unknown_workload_and_bad_sizes():
 
 
 def test_tracing_mul_counts_and_records():
-    mul = TracingMul(native_mul, record=True)
+    received = []
+
+    def fn(a, b):
+        received.append((a.shape, b.shape))
+        return native_mul(a, b)
+
+    mul = TracingMul(fn, record=True)
     out = mul(np.float32(2.0), np.arange(5, dtype=np.float32))
     assert out.shape == (5,)
     assert mul.count == 5
@@ -110,6 +119,44 @@ def test_tracing_mul_counts_and_records():
     trace = mul.trace()
     assert len(trace) == 11
     assert trace.a_bits[0] == np.float32(2.0).view(np.uint32)
+
+    # fn gets each operand at its own shape; count and trace use the broadcast pairs.
+    rng = np.random.default_rng(5)
+    grid = rng.random((4, 6), dtype=np.float32)
+    calls = [
+        (np.float32(2.0), np.arange(5, dtype=np.float32)),
+        (np.ones((2, 3), np.float32), np.float32(4.0)),
+        (grid[:, 2:3], grid[1, :]),  # gemm's column times row
+        (grid[:1, :3], grid[:, 4:5]),
+        (np.float32(3.0), np.float32(-0.5)),
+    ]
+    for a, b in calls[2:]:
+        mul(a, b)
+    assert received == [(np.shape(a), np.shape(b)) for a, b in calls]
+    pairs = [np.broadcast_arrays(np.asarray(a), np.asarray(b)) for a, b in calls]
+    assert mul.count == sum(wide_a.size for wide_a, _ in pairs) == 11 + 24 + 12 + 1
+    trace = mul.trace()
+    wide_a, wide_b = (np.concatenate([p[i].ravel() for p in pairs]) for i in (0, 1))
+    assert np.array_equal(trace.a_bits, wide_a.view(np.uint32))
+    assert np.array_equal(trace.b_bits, wide_b.view(np.uint32))
+
+
+def test_substituted_mul_quantises_each_operand_once(monkeypatch):
+    # A gemm rank-1 step quantises a 200-element column and a 200-element row,
+    # not the 2 x 40,000 lanes of their broadcast.
+    quantised = []
+    operand = batch._operand
+
+    def counting_operand(x32, fmt):
+        quantised.append(np.size(x32))
+        return operand(x32, fmt)
+
+    monkeypatch.setattr(batch, "_operand", counting_operand)
+    mul = TracingMul(partial(mul_float32_batch, F18))
+    a = np.ones((200, 200), np.float32)
+    out = mul(a[:, 7:8], a[7, :])
+    assert out.shape == (200, 200) and mul.count == 40_000
+    assert quantised == [200, 200]
 
 
 def test_trace_length_equals_mul_count():
