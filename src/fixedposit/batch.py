@@ -181,11 +181,15 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
 
 
 def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Round finite or NaN binary64 values in place to the nearest value of ``fmt``.
+    """Round finite or NaN binary64 values to the nearest value of ``fmt``.
 
-    Ties go to even.  Magnitudes past the largest value saturate to it, and
-    nonzero magnitudes at or below ``2**min_scale`` become the smallest.
+    Rounds in place when ``x`` is contiguous and returns the result at
+    ``x``'s shape.  Ties go to even.  Magnitudes past the largest value
+    saturate to it, and nonzero magnitudes at or below ``2**min_scale``
+    become the smallest.
     """
+    shape = x.shape
+    x = x.reshape(-1)  # on 0-d arrays the in-place ufuncs below would return scalars
     f = fmt.fraction_bits
     drop = 52 - f
     bits = x.view(np.uint64)
@@ -208,18 +212,17 @@ def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     under &= mag > 0
     x[under] = np.copysign(minpos, x[under])
     np.clip(x, -maxpos, maxpos, out=x)
-    return x
+    return x.reshape(shape)
 
 
 def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Binary64 value of ``from_binary32`` of each binary32 operand; NaR is NaN."""
-    flat = x32.ravel()  # on 0-d arrays the in-place ufuncs below would return scalars
     with np.errstate(invalid="ignore"):  # widening a signalling NaN flags invalid
-        x = flat.astype(np.float64)
-    exp_field = flat.view(np.uint32) & np.uint32(0x7F800000)
+        x = x32.astype(np.float64, order="C")
+    exp_field = x32.view(np.uint32) & np.uint32(0x7F800000)
     x[exp_field == 0] = 0.0  # zeros and subnormals flush
     x[exp_field == 0x7F800000] = np.nan  # one NaN pattern, safe to round
-    return _quantize(x, fmt).reshape(x32.shape)
+    return _quantize(x, fmt)
 
 
 def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,7 +239,7 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
     # Writing into an operand of the full shape, when there is one, saves an array.
     full = qa if qa.shape == shape else qb if qb.shape == shape else None
     product = np.multiply(qa, qb, out=full)
-    product = _quantize(product.reshape(-1), fmt).reshape(shape)
+    product = _quantize(product, fmt)
     product += 0.0  # word 0 is +0, never -0
     with np.errstate(over="ignore"):
         out = product.astype(np.float32)

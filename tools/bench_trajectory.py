@@ -5,14 +5,14 @@ Usage, from the root of a checkout:
     python3 tools/bench_trajectory.py --pr N --parent HEAD~1
 
 Runs ``python3 perfbench/run.py --workload all --trace 0`` and then the same
-command with ``--trace 1``, both unchanged, in this checkout (the ``change``
-section).  With ``--parent REV`` it also exports that commit with
-``git archive`` and runs the same two commands there (the ``parent``
-section); the two sides alternate, parent first, within each trace mode.
-Each section holds the machine record, the end-to-end metrics of every
-workload from the untraced run, and the per-layer figures of the traced run.
-The record's ``src_sha256`` identifies the measured source; for uncommitted
-work its ``git_commit`` is the commit the work builds on.
+command with ``--trace 1``, both unchanged and so at perfbench's default seed
+and run length, in this checkout (the ``change`` section) and in an export of
+commit ``REV`` made with ``git archive`` (the ``parent`` section); the two
+sides alternate, parent first, within each trace mode.  Every file comes from
+the same two commands, so consecutive files are comparable.  Each section
+holds the machine record, the end-to-end metrics of every workload from the
+untraced run, and the per-layer figures of the traced run.  Run it on
+committed work: the change side's ``git_commit`` is this checkout's HEAD.
 The exit code is 0 only when every run exited 0.
 """
 
@@ -30,12 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_benchmark(checkout: Path, seed: int, seconds: float, trace: int) -> dict:
+def run_benchmark(checkout: Path, trace: int) -> dict:
     """One ``perfbench/run.py --workload all`` run: exit code, machine record, metrics."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", "all",
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-    ]
+    command = [sys.executable, "perfbench/run.py", "--workload", "all", "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
     if not lines:
@@ -68,29 +65,21 @@ def export(rev: str, into: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--parent", metavar="REV", help="also benchmark this commit")
-    parser.add_argument("--seed", type=int, default=67)
-    parser.add_argument("--seconds", type=float, default=20.0, help="per workload and run")
+    parser.add_argument("--parent", metavar="REV", required=True, help="commit to compare with")
     args = parser.parse_args(argv)
 
     (ROOT / ".perfbench").mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=ROOT / ".perfbench") as scratch:
-        sides = {"change": ROOT}
-        if args.parent:
-            parent_commit = export(args.parent, Path(scratch))
-            sides = {"parent": Path(scratch), **sides}
-        runs = {(side, trace): run_benchmark(checkout, args.seed, args.seconds, trace)
+        parent_commit = export(args.parent, Path(scratch))
+        sides = {"parent": Path(scratch), "change": ROOT}
+        runs = {(side, trace): run_benchmark(checkout, trace)
                 for trace in (0, 1) for side, checkout in sides.items()}
 
-    report = {
-        "pr": args.pr,
-        "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace {{0,1}}",
-    }
+    report = {"pr": args.pr, "command": "python3 perfbench/run.py --workload all --trace {0,1}"}
+    # An export has no .git to read the commit from.
+    runs["parent", 0]["record"]["git_commit"] = parent_commit
     for side in sides:
         untraced, traced = runs[side, 0], runs[side, 1]
-        if side == "parent":  # an export has no .git to read the commit from
-            untraced["record"]["git_commit"] = parent_commit
         report[side] = {
             "record": untraced["record"],
             "exit_codes": {"trace0": untraced["exit_code"], "trace1": traced["exit_code"]},
