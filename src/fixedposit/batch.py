@@ -113,7 +113,8 @@ def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray
     """Vector version of codec.from_binary32; returns int64 word patterns."""
     _check_fmt(fmt)
     n, f = fmt.n, fmt.fraction_bits
-    bits = _operand(_bits_to_float32(x_bits), fmt).view(_I64)
+    x32 = _bits_to_float32(x_bits)
+    bits = _operand(x32.reshape(-1), fmt).view(_I64)  # 1-d, so the masked stores work on 0-d input
     scale = ((bits >> 52) & 0x7FF) - 1023  # -1023 for zero, 1024 for NaN
     words = _pack(scale, (bits >> (52 - f)) & ((1 << f) - 1), fmt)
     sign = bits >> 63  # 0 or -1; negating is xor with -1, then adding 1
@@ -122,7 +123,7 @@ def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray
     words &= (1 << n) - 1
     words[scale == -1023] = 0
     words[scale == 1024] = 1 << (n - 1)
-    return words
+    return words.reshape(x32.shape)
 
 
 def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
@@ -131,7 +132,8 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     Scales beyond binary64's range give +-inf or 0, as ``np.ldexp`` does.
     """
     _check_fmt(fmt)
-    w = np.asarray(words).astype(_I64)
+    shape = np.shape(words)
+    w = np.asarray(words).astype(_I64).reshape(-1)  # on 0-d input the ufuncs would give scalars
     signed, scale, significand = _fields(w, fmt)
     scale -= fmt.fraction_bits
     with np.errstate(over="ignore"):
@@ -139,7 +141,7 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     np.copysign(value, signed, out=value)
     value[w == 0] = 0.0
     value[w == 1 << (fmt.n - 1)] = np.nan
-    return value
+    return value.reshape(shape)
 
 
 def to_binary32_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:

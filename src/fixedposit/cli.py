@@ -34,18 +34,36 @@ from .multiplier import mul_datapath_traced
 from .workloads import DEFAULT_SEED, WORKLOAD_NAMES, read_pgm, run_workload
 
 
+_MISSING = ("the following arguments are required", "one of the arguments")
+
+
 class _Parser(argparse.ArgumentParser):
     """Sends usage errors to ``main``'s one error path, not to a usage dump and exit.
 
     Long flags must be spelled in full: ``_join_value_tokens`` matches the
     value flags by their full names.  Subcommand parsers are built by this
-    class too.
+    class too.  A missing flag is reported only when every token was
+    recognised, so ``--val 1`` reads ``unrecognized arguments: --val 1``
+    rather than a missing ``--value``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._missing: str | None = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._missing = None
+        namespace, extras = super().parse_known_args(args, namespace)
+        if self._missing and not extras:
+            raise ValueError(self._missing)
+        return namespace, extras
 
     def error(self, message: str):
+        # argparse checks for missing flags before it returns the unknown
+        # tokens; keep the first such message until those are known.
+        if message.startswith(_MISSING):
+            self._missing = self._missing or message
+            return
         raise ValueError(message)
 
 

@@ -165,25 +165,25 @@ def encode(
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not (1 << significand_den_log2) <= significand_num < (2 << significand_den_log2):
         raise ValueError("significand must lie in [1, 2)")
-    f = fmt.fraction_bits
+    n, es, rs, f = fmt.n, fmt.es, fmt.rs, fmt.fraction_bits
     sig = round_to_nearest_even(significand_num, significand_den_log2 - f)
     if sig == 2 << f:
         sig >>= 1
         scale += 1
     rng = scale_range(fmt)
     if scale > rng.max_scale:
-        mag = (1 << (fmt.n - 1)) - 1
+        mag = (1 << (n - 1)) - 1
     elif scale < rng.min_scale:
         mag = 1
     else:
-        k = scale >> fmt.es
-        exponent = scale - (k << fmt.es)
-        mag = (_regime_field(k, fmt.rs) << (fmt.es + f)) | (exponent << f) | (sig - (1 << f))
+        k = scale >> es
+        exponent = scale - (k << es)
+        mag = (_regime_field(k, rs) << (es + f)) | (exponent << f) | (sig - (1 << f))
         if mag == 0:
             # (min_scale, fraction 0) collides with the zero pattern; nudge to
             # the smallest nonzero magnitude instead of underflowing.
             mag = 1
-    bits = mag if sign > 0 else (-mag) & ((1 << fmt.n) - 1)
+    bits = mag if sign > 0 else (-mag) & ((1 << n) - 1)
     return PositWord(bits, fmt)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 # A regime/exponent budget of rs * 2**es = 128 gives the scale range
 # [-128, 127], which covers the binary32 normal exponents -126..+127.
@@ -73,8 +74,13 @@ class PositFormat:
         return f"({self.n},{self.es})"
 
 
+@cache
 def scale_range(fmt: FixedPositFormat) -> ScaleRange:
-    """Scales k * 2**es + e reachable with k in [-rs, rs-1] and e in [0, 2**es)."""
+    """Scales k * 2**es + e reachable with k in [-rs, rs-1] and e in [0, 2**es).
+
+    Memoised per format: the codec and the multiplier ask once per word, and
+    a frozen format always has the same range.
+    """
     step = 1 << fmt.es
     return ScaleRange(-fmt.rs * step, fmt.rs * step - 1)
 

@@ -3,9 +3,11 @@
 ``mul_datapath`` mirrors a hardware pipeline: sign XOR, regime decode with a
 left shift by the exponent width, fraction multiply with normalization
 carry, a single scale adder, and a regime/exponent/fraction encoder with
-guard-and-sticky rounding.  ``mul_reference`` is the independent oracle: it
-decodes both operands to exact integers, multiplies exactly, and re-encodes
-through the generic codec.
+guard-and-sticky rounding.  It is written once, in ``_datapath``, which
+returns the block values as plain ints; only ``mul_datapath_traced`` packs
+them into a ``DatapathTrace``.  ``mul_reference`` is the independent oracle:
+it decodes both operands to exact integers, multiplies exactly, and
+re-encodes through the generic codec.
 """
 
 from __future__ import annotations
@@ -49,59 +51,63 @@ class DatapathTrace:
 
 
 def _check_same_format(a: PositWord, b: PositWord) -> FixedPositFormat:
-    if a.fmt != b.fmt:
-        raise ValueError(f"operand formats differ: {a.fmt} vs {b.fmt}")
-    if not isinstance(a.fmt, FixedPositFormat):
-        raise TypeError(f"expected fixed-posit operands, got format {a.fmt}")
-    return a.fmt
+    fmt = a.fmt
+    if fmt is not b.fmt and fmt != b.fmt:
+        raise ValueError(f"operand formats differ: {fmt} vs {b.fmt}")
+    if not isinstance(fmt, FixedPositFormat):
+        raise TypeError(f"expected fixed-posit operands, got format {fmt}")
+    return fmt
 
 
-def mul_datapath_traced(a: PositWord, b: PositWord) -> tuple[PositWord, DatapathTrace | None]:
-    """Multiply two words through the datapath, returning the block trace.
+def _datapath(a: PositWord, b: PositWord) -> tuple[PositWord, tuple[int, ...] | None]:
+    """The one datapath pass: the result word and the block values as plain ints.
 
-    The trace is None for special operands (NaR or Zero short-circuit the
-    pipeline).
+    The block values are ``(result_sign, k_a, k_b, exp_a, exp_b, carry,
+    raw_scale, fraction_field)``, or None when a special operand (NaR or Zero)
+    short-circuits the pipeline.
     """
     fmt = _check_same_format(a, b)
-    if a.is_nar or b.is_nar:
-        return nar_word(fmt), None
-    if a.is_zero or b.is_zero:
-        return zero_word(fmt), None
-
     n, es, rs, f = fmt.n, fmt.es, fmt.rs, fmt.fraction_bits
+    a_bits, b_bits = a.bits, b.bits
+    nar = 1 << (n - 1)
+    if a_bits == nar or b_bits == nar:
+        return nar_word(fmt), None
+    if a_bits == 0 or b_bits == 0:
+        return zero_word(fmt), None
     mask = (1 << n) - 1
     rmask = (1 << rs) - 1
+    emask = (1 << es) - 1
+    fmask = (1 << f) - 1
 
     # Block 1: result sign from an XOR of the operand signs.
-    sa = a.bits >> (n - 1)
-    sb = b.bits >> (n - 1)
+    sa = a_bits >> (n - 1)
+    sb = b_bits >> (n - 1)
     sc = sa ^ sb
-    mag_a = (-a.bits) & mask if sa else a.bits
-    mag_b = (-b.bits) & mask if sb else b.bits
+    mag_a = (-a_bits) & mask if sa else a_bits
+    mag_b = (-b_bits) & mask if sb else b_bits
 
-    # Block 2: regime decode (run length of the leading bit) and the k-value
-    # left-shifted by the exponent width.
-    def decode_k(mag: int) -> int:
-        field = (mag >> (es + f)) & rmask
-        if field >> (rs - 1):
-            return rs - ((field ^ rmask).bit_length()) - 1
-        return -(rs - field.bit_length())
-
-    k_a = decode_k(mag_a)
-    k_b = decode_k(mag_b)
-    shifted_k_a = k_a << es
-    shifted_k_b = k_b << es
-    exp_a = (mag_a >> f) & ((1 << es) - 1)
-    exp_b = (mag_b >> f) & ((1 << es) - 1)
+    # Block 2: regime decode, the run length of the leading bit: a run of m
+    # ones gives k = m - 1 and a run of m zeros k = -m.  The adder below takes
+    # k left-shifted by the exponent width.
+    field_a = (mag_a >> (es + f)) & rmask
+    field_b = (mag_b >> (es + f)) & rmask
+    k_a = (
+        rs - 1 - (field_a ^ rmask).bit_length() if field_a >> (rs - 1)
+        else field_a.bit_length() - rs
+    )
+    k_b = (
+        rs - 1 - (field_b ^ rmask).bit_length() if field_b >> (rs - 1)
+        else field_b.bit_length() - rs
+    )
+    exp_a = (mag_a >> f) & emask
+    exp_b = (mag_b >> f) & emask
 
     # Block 3: fraction multiply and normalization carry.
-    frac_a = (1 << f) | (mag_a & ((1 << f) - 1))
-    frac_b = (1 << f) | (mag_b & ((1 << f) - 1))
-    product = frac_a * frac_b  # 2f+2 bits
-    carry = 1 if product >> (2 * f + 1) else 0
+    product = ((1 << f) | (mag_a & fmask)) * ((1 << f) | (mag_b & fmask))  # 2f+2 bits
+    carry = product >> (2 * f + 1)
 
     # Block 4: one adder for exponents, shifted k-values, and the carry.
-    raw_scale = shifted_k_a + exp_a + shifted_k_b + exp_b + carry
+    raw_scale = (k_a << es) + exp_a + (k_b << es) + exp_b + carry
 
     # Block 5: encoder.  Round the normalized fraction to f bits with
     # guard/sticky logic, then re-split the scale into regime and exponent.
@@ -118,7 +124,7 @@ def mul_datapath_traced(a: PositWord, b: PositWord) -> tuple[PositWord, Datapath
 
     rng = scale_range(fmt)
     if result_scale > rng.max_scale:
-        mag_c = (1 << (n - 1)) - 1
+        mag_c = nar - 1
     elif result_scale < rng.min_scale:
         mag_c = 1
     else:
@@ -128,29 +134,47 @@ def mul_datapath_traced(a: PositWord, b: PositWord) -> tuple[PositWord, Datapath
             regime = ((1 << (k_c + 1)) - 1) << (rs - k_c - 1)
         else:
             regime = (1 << (rs + k_c)) - 1
-        mag_c = (regime << (es + f)) | (exp_c << f) | (kept & ((1 << f) - 1))
+        mag_c = (regime << (es + f)) | (exp_c << f) | (kept & fmask)
         if mag_c == 0:
             mag_c = 1  # never underflow to the zero pattern
     bits = (-mag_c) & mask if sc else mag_c
+    blocks = (sc, k_a, k_b, exp_a, exp_b, carry, raw_scale, kept & fmask)
+    return PositWord(bits, fmt), blocks
+
+
+def mul_datapath_traced(a: PositWord, b: PositWord) -> tuple[PositWord, DatapathTrace | None]:
+    """Multiply two words through the datapath, returning the block trace.
+
+    The same pass as ``mul_datapath``; only this wrapper builds the trace.
+    The trace is None for special operands (NaR or Zero short-circuit the
+    pipeline).
+    """
+    word, blocks = _datapath(a, b)
+    if blocks is None:
+        return word, None
+    sc, k_a, k_b, exp_a, exp_b, carry, raw_scale, fraction_field = blocks
+    es = word.fmt.es
     trace = DatapathTrace(
         result_sign=sc,
         k_a=k_a,
         k_b=k_b,
-        shifted_k_a=shifted_k_a,
-        shifted_k_b=shifted_k_b,
+        shifted_k_a=k_a << es,
+        shifted_k_b=k_b << es,
         exp_a=exp_a,
         exp_b=exp_b,
         carry=carry,
         raw_scale=raw_scale,
-        fraction_field=kept & ((1 << f) - 1),
+        fraction_field=fraction_field,
     )
-    return PositWord(bits, fmt), trace
+    return word, trace
 
 
 def mul_datapath(a: PositWord, b: PositWord) -> PositWord:
-    """Multiply two fixed-posit words through the hardware-style pipeline."""
-    word, _ = mul_datapath_traced(a, b)
-    return word
+    """Multiply two fixed-posit words through the hardware-style pipeline.
+
+    Runs the same pass as ``mul_datapath_traced`` but builds no trace.
+    """
+    return _datapath(a, b)[0]
 
 
 def mul_reference(a: PositWord, b: PositWord) -> PositWord:

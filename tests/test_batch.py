@@ -23,6 +23,8 @@ from fixedposit import (
     mul_binary32_bits,
     mul_datapath,
     scale_range,
+    to_binary32,
+    to_binary64,
 )
 from fixedposit import batch
 from fixedposit.formats import SWEEP_WIDTHS
@@ -163,6 +165,21 @@ def test_scalar_operands_give_0d_results():
     bits = batch.mul_binary32_batch(F1862, two, three)
     assert isinstance(bits, np.ndarray) and bits.shape == ()
     assert int(bits) == mul_binary32_bits(F1862, two, three)
+
+
+@pytest.mark.parametrize("pattern", [0x3F800000, 0xC0490FDB, 0, 0x7F800000, 0x00000001])
+def test_scalar_conversions_give_0d_results(pattern):
+    for operand in (pattern, np.int64(pattern), np.array(pattern)):
+        words = batch.from_binary32_batch(operand, F1862)
+        assert isinstance(words, np.ndarray) and words.shape == ()
+        assert int(words) == from_binary32(pattern, F1862).bits
+    word = PositWord(int(words), F1862)
+    value = batch.to_binary64_batch(int(words), F1862)
+    assert isinstance(value, np.ndarray) and value.shape == ()
+    assert value.tobytes() == np.float64(to_binary64(word)).tobytes()
+    bits = batch.to_binary32_batch(words, F1862)
+    assert isinstance(bits, np.ndarray) and bits.shape == ()
+    assert int(bits) == to_binary32(word)
 
 
 def broadcast_first_mul(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -273,9 +273,19 @@ def test_sweep_rejects_zero_samples(capsys):
             id="width-3",
         ),
         pytest.param(
-            ("convert", "--fmt", "32,6,2", "--val", "-1e39"),
-            "the following arguments are required: --value",
+            ("convert", "--fmt", "32,6,2", "--val", "1"),
+            "unrecognized arguments: --val 1",
             id="abbreviated-flag",
+        ),
+        pytest.param(
+            ("convert", "--fmt", "32,6,2", "--val", "-1e39"),
+            "unrecognized arguments: --val -1e39",
+            id="abbreviated-flag-negative-value",
+        ),
+        pytest.param(
+            ("enumerate", "--wid", "18"),
+            "unrecognized arguments: --wid 18",
+            id="abbreviated-group-flag",
         ),
         pytest.param(("transpose",), "invalid choice: 'transpose'", id="unknown-command"),
         pytest.param((), "the following arguments are required: command", id="no-command"),

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedposit import (
+    DatapathTrace,
     FixedPositFormat,
+    PositFormat,
     PositWord,
     decode,
     encode,
@@ -21,6 +23,9 @@ from fixedposit import (
     zero_word,
 )
 from fixedposit import batch
+from fixedposit.codec import round_to_nearest_even
+
+from support import all_fixed_formats
 
 F822 = FixedPositFormat(8, 2, 2)
 F3262 = FixedPositFormat(32, 6, 2)
@@ -65,6 +70,20 @@ def test_mul_negative_operand():
 def test_mul_format_mismatch_rejected():
     with pytest.raises(ValueError):
         mul_datapath(word_of(1.0, F822), word_of(1.0, FixedPositFormat(10, 3, 2)))
+
+
+@pytest.mark.parametrize("mul", [mul_datapath, mul_datapath_traced, mul_reference])
+def test_format_check(mul):
+    twin = FixedPositFormat(8, 2, 2)
+    assert twin == F822 and twin is not F822
+    got = mul(PositWord(0x48, F822), PositWord(0x4C, twin))
+    assert (got[0] if isinstance(got, tuple) else got).bits == 0x54  # 2 * 3 = 6
+    with pytest.raises(ValueError, match="operand formats differ"):
+        mul(PositWord(0x48, F822), PositWord(0x48, FixedPositFormat(8, 3, 1)))
+    with pytest.raises(ValueError, match="operand formats differ"):
+        mul(PositWord(0x48, F822), PositWord(0x48, PositFormat(8, 2)))
+    with pytest.raises(TypeError, match="expected fixed-posit operands"):
+        mul(PositWord(0x48, PositFormat(8, 2)), PositWord(0x4C, PositFormat(8, 2)))
 
 
 # --- datapath trace -----------------------------------------------------------
@@ -116,6 +135,49 @@ def test_trace_adder_invariant(a, b):
     )
     assert trace.shifted_k_a == trace.k_a << F822.es
     assert trace.shifted_k_b == trace.k_b << F822.es
+
+
+SMALL_FORMATS = all_fixed_formats(7)
+
+
+@pytest.mark.parametrize("fmt", SMALL_FORMATS, ids=str)
+def test_traced_and_untraced_datapath_agree_exhaustive(fmt):
+    words = [PositWord(bits, fmt) for bits in range(1 << fmt.n)]
+    for wa in words:
+        for wb in words:
+            assert mul_datapath(wa, wb) == mul_datapath_traced(wa, wb)[0], (wa, wb)
+
+
+def expected_trace(wa: PositWord, wb: PositWord) -> DatapathTrace | None:
+    """The block values of one multiply, from ``decode`` and exact arithmetic alone."""
+    da, db = decode(wa), decode(wb)
+    if da.is_nar or db.is_nar or da.is_zero or db.is_zero:
+        return None
+    es, f = wa.fmt.es, wa.fmt.fraction_bits
+    product = da.significand * db.significand
+    carry = 1 if product >= 2 << (2 * f) else 0
+    k_a, k_b = da.scale >> es, db.scale >> es
+    return DatapathTrace(
+        result_sign=1 if da.sign != db.sign else 0,
+        k_a=k_a,
+        k_b=k_b,
+        shifted_k_a=k_a << es,
+        shifted_k_b=k_b << es,
+        exp_a=da.scale - (k_a << es),
+        exp_b=db.scale - (k_b << es),
+        carry=carry,
+        raw_scale=da.scale + db.scale + carry,
+        # A rounding carry to 2.0 leaves a zero fraction field either way.
+        fraction_field=round_to_nearest_even(product, f + carry) & ((1 << f) - 1),
+    )
+
+
+@pytest.mark.parametrize("fmt", SMALL_FORMATS, ids=str)
+def test_trace_fields_match_decoded_operands_exhaustive(fmt):
+    words = [PositWord(bits, fmt) for bits in range(1 << fmt.n)]
+    for wa in words:
+        for wb in words:
+            assert mul_datapath_traced(wa, wb)[1] == expected_trace(wa, wb), (wa, wb)
 
 
 # --- oracle equivalence ---------------------------------------------------------
