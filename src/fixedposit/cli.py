@@ -34,7 +34,7 @@ from .multiplier import mul_datapath_traced
 from .workloads import DEFAULT_SEED, WORKLOAD_NAMES, read_pgm, run_workload
 
 
-_MISSING = ("the following arguments are required", "one of the arguments")
+_MISSING_FLAG_ERRORS = ("the following arguments are required", "one of the arguments")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         # argparse checks for missing flags before it returns the unknown
         # tokens; keep the first such message until those are known.
-        if message.startswith(_MISSING):
+        if message.startswith(_MISSING_FLAG_ERRORS):
             self._missing = self._missing or message
             return
         raise ValueError(message)

@@ -103,7 +103,9 @@ def _datapath(a: PositWord, b: PositWord) -> tuple[PositWord, tuple[int, ...] | 
     exp_b = (mag_b >> f) & emask
 
     # Block 3: fraction multiply and normalization carry.
-    product = ((1 << f) | (mag_a & fmask)) * ((1 << f) | (mag_b & fmask))  # 2f+2 bits
+    frac_a = (1 << f) | (mag_a & fmask)
+    frac_b = (1 << f) | (mag_b & fmask)
+    product = frac_a * frac_b  # 2f+2 bits
     carry = product >> (2 * f + 1)
 
     # Block 4: one adder for exponents, shifted k-values, and the carry.
@@ -124,7 +126,7 @@ def _datapath(a: PositWord, b: PositWord) -> tuple[PositWord, tuple[int, ...] | 
 
     rng = scale_range(fmt)
     if result_scale > rng.max_scale:
-        mag_c = nar - 1
+        mag_c = (1 << (n - 1)) - 1
     elif result_scale < rng.min_scale:
         mag_c = 1
     else:
