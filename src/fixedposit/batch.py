@@ -23,8 +23,9 @@ top ``f`` fraction bits are the word's fraction.  The decode splits a word's
 fields with the same array passes for every format.
 
 *Word-level multiply* (``mul_batch``).  A mirror of ``mul_datapath`` over
-int64 word patterns, pinned to it exhaustively.  With the scalar codec it is
-the reference the value path is tested against.
+int64 word patterns, pinned to it exhaustively.  It takes the value path's
+steps: round as ``_quantize`` does, clamp to [minpos, maxpos], pack.  With
+the scalar codec it is the reference the value path is tested against.
 
 Every function here is pinned to the scalar functions by exhaustive
 small-width and sampled 32-bit equivalence tests.  The int64 word carrier
@@ -46,20 +47,6 @@ _QNAN32 = 0x7FC00000  # NaR as binary32
 def _check_fmt(fmt: FixedPositFormat) -> None:
     if fmt.n > 32:
         raise ValueError(f"batch codec carries at most 32-bit words, got {fmt}")
-
-
-def _rne_shift_right(num: np.ndarray, drop: np.ndarray | int) -> np.ndarray:
-    """Elementwise right shift with round-to-nearest, ties-to-even.
-
-    Negative drops are treated as zero; drops past 62 bits saturate (the
-    remainder comparison still rounds such lanes to zero correctly).
-    """
-    drop = np.clip(np.asarray(drop, dtype=_I64), 0, 62)
-    kept = num >> drop
-    rem = num & ((_I64(1) << drop) - 1)
-    half = (_I64(1) << drop) >> 1
-    round_up = (drop > 0) & ((rem > half) | ((rem == half) & ((kept & 1) == 1)))
-    return kept + round_up.astype(_I64)
 
 
 def _fields(words: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, ...]:
@@ -96,16 +83,6 @@ def _pack(scale: np.ndarray, fraction: np.ndarray, fmt: FixedPositFormat) -> np.
     mag = np.take(np.array(regimes, _I64) << (es + f), (scale >> es) + rs, mode="clip")
     mag |= (scale & ((1 << es) - 1)) << f
     mag |= fraction
-    return mag
-
-
-def _assemble(scale: np.ndarray, significand: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Pack (scale, significand) into positive magnitudes, saturating the scale."""
-    rng = scale_range(fmt)
-    mag = _pack(scale, significand & ((1 << fmt.fraction_bits) - 1), fmt)
-    mag = np.where(mag == 0, 1, mag)  # zero pattern is reserved; nudge up
-    mag = np.where(scale > rng.max_scale, (1 << (fmt.n - 1)) - 1, mag)
-    mag = np.where(scale < rng.min_scale, 1, mag)
     return mag
 
 
@@ -157,7 +134,7 @@ def to_binary32_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
 
 
 def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Vector version of multiplier.mul_datapath."""
+    """Vector version of multiplier.mul_datapath: round, clamp, pack."""
     _check_fmt(fmt)
     a = np.asarray(a_words).astype(_I64)
     b = np.asarray(b_words).astype(_I64)
@@ -167,19 +144,22 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     signed_a, scale_a, frac_a = _fields(a, fmt)
     signed_b, scale_b, frac_b = _fields(b, fmt)
     product = frac_a * frac_b  # <= 2f+2 bits, fine in int64 for n <= 32
-    carry = (product >> (2 * f + 1)) & 1
-    raw_scale = scale_a + scale_b + carry
+    carry = product >> (2 * f + 1)
+    drop = f + carry
+    # Adding half an ulp less one, plus the kept lsb, then truncating is RNE.
+    product += ((product >> drop) & 1) + (1 << (drop - 1)) - 1
+    product >>= drop  # the significand, or 2**(f+1) after a rounding carry
+    # (scale, fraction) as one number, scale * 2**f + fraction, so that a rounding
+    # carry bumps the scale.  Its clamp is _quantize's [minpos, maxpos], which
+    # leaves out (min_scale, 0), the zero word.
+    pair = ((scale_a + scale_b + carry - 1) << f) + product
+    rng = scale_range(fmt)
+    pair = np.clip(pair, (rng.min_scale << f) + 1, ((rng.max_scale + 1) << f) - 1)
 
-    kept = _rne_shift_right(product, f + carry)
-    carried = kept >> (f + 1)
-    kept = np.where(carried == 1, kept >> 1, kept)
-    result_scale = raw_scale + carried
-
-    mag_c = _assemble(result_scale, kept, fmt)
-    words = np.where((signed_a ^ signed_b) < 0, (-mag_c) & ((1 << n) - 1), mag_c)
+    mag = _pack(pair >> f, pair & ((1 << f) - 1), fmt)
+    words = np.where((signed_a ^ signed_b) < 0, (-mag) & ((1 << n) - 1), mag)
     words = np.where((a == 0) | (b == 0), 0, words)
-    words = np.where((a == nar) | (b == nar), nar, words)
-    return words
+    return np.where((a == nar) | (b == nar), nar, words)
 
 
 def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:

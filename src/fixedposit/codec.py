@@ -208,15 +208,31 @@ def from_binary32(x_bits: int, fmt: FixedPositFormat) -> PositWord:
     return encode_binary32(x_bits, fmt, encode)
 
 
-def exact_product(da: DecodedNumber, db: DecodedNumber) -> tuple[int, int, int, int]:
-    """Exact product of two normal numbers as ``encode``'s (sign, scale, num, den_log2)."""
+def exact_mul(
+    a: PositWord,
+    b: PositWord,
+    decoder: Callable[[PositWord], DecodedNumber],
+    encoder: Callable[..., PositWord],
+) -> PositWord:
+    """Product of two words of one format, rounded once by ``encoder``.
+
+    NaR, then Zero, short-circuit.  Otherwise the significands ``decoder``
+    gives are multiplied exactly and ``encoder``, which takes ``encode``'s
+    arguments, rounds and packs the product.
+    """
+    fmt = a.fmt
+    if a.is_nar or b.is_nar:
+        return nar_word(fmt)
+    if a.is_zero or b.is_zero:
+        return zero_word(fmt)
+    da, db = decoder(a), decoder(b)
     product = da.significand * db.significand
     den_log2 = da.fraction_bits + db.fraction_bits
     scale = da.scale + db.scale
     if product >= 2 << den_log2:
         den_log2 += 1
         scale += 1
-    return da.sign * db.sign, scale, product, den_log2
+    return encoder(da.sign * db.sign, scale, product, den_log2, fmt)
 
 
 def to_binary64(w: PositWord) -> float:

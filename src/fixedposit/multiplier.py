@@ -20,7 +20,7 @@ from .codec import (
     bits32_to_float,
     decode,
     encode,
-    exact_product,
+    exact_mul,
     float_to_bits32,
     from_binary32,
     nar_word,
@@ -181,12 +181,8 @@ def mul_datapath(a: PositWord, b: PositWord) -> PositWord:
 
 def mul_reference(a: PositWord, b: PositWord) -> PositWord:
     """Oracle multiply: exact integer product of the decoded significands."""
-    fmt = _check_same_format(a, b)
-    if a.is_nar or b.is_nar:
-        return nar_word(fmt)
-    if a.is_zero or b.is_zero:
-        return zero_word(fmt)
-    return encode(*exact_product(decode(a), decode(b)), fmt)
+    _check_same_format(a, b)
+    return exact_mul(a, b, decode, encode)
 
 
 def mul_binary32_bits(fmt: FixedPositFormat, a_bits: int, b_bits: int) -> int:

@@ -6,7 +6,7 @@ opposite bit.  When the regime squeezes out exponent bits, the surviving
 bits are the high-order bits of the exponent (low bits read as zero).  A
 magnitude whose post-sign bits are all identical has no terminator; its run
 counts as n-2 bits and the last bit is data.  The binary32 bridge and the
-exact product come from ``codec``, shared with fixed-posit.
+exact multiply (``exact_mul``) come from ``codec``, shared with fixed-posit.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .codec import (
     PositWord,
     binary32_bits,
     encode_binary32,
-    exact_product,
-    nar_word,
+    exact_mul,
     round_to_nearest_even,
-    zero_word,
 )
 from .formats import PositFormat
 
@@ -106,6 +104,8 @@ def posit_encode(
     The significand must lie in [1, 2).  Values beyond the largest or below
     the smallest magnitude saturate to the extreme nonzero words.
     """
+    if not isinstance(fmt, PositFormat):
+        raise TypeError(f"expected a posit format, got {fmt}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if not (1 << significand_den_log2) <= significand_num < (2 << significand_den_log2):
@@ -147,10 +147,4 @@ def posit_mul_binary32_bits(fmt: PositFormat, a_bits: int, b_bits: int) -> int:
     """Substituted multiply on binary32 bit patterns via exact posit arithmetic."""
     wa = posit_from_binary32(a_bits, fmt)
     wb = posit_from_binary32(b_bits, fmt)
-    if wa.is_nar or wb.is_nar:
-        wc = nar_word(fmt)
-    elif wa.is_zero or wb.is_zero:
-        wc = zero_word(fmt)
-    else:
-        wc = posit_encode(*exact_product(posit_decode(wa), posit_decode(wb)), fmt)
-    return posit_to_binary32(wc)
+    return posit_to_binary32(exact_mul(wa, wb, posit_decode, posit_encode))

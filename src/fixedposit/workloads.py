@@ -206,9 +206,10 @@ def _kernel_fft(size: int, seed: int, mul: TracingMul) -> np.ndarray:
         raise ValueError(f"fft size must be a power of two >= 2, got {size}")
     rng = np.random.default_rng(seed)
     stages = size.bit_length() - 1
+    index = np.arange(size)
     rev = np.zeros(size, dtype=np.int64)
-    for i in range(size):
-        rev[i] = int(format(i, f"0{stages}b")[::-1], 2)
+    for s in range(stages):  # bit s of i becomes bit stages-1-s of rev[i]
+        rev |= ((index >> s) & 1) << (stages - 1 - s)
     xr = _log_uniform(rng, -4, 4, size)[rev].copy()
     xi = np.zeros(size, dtype=_F32)
     for s in range(1, stages + 1):

@@ -60,6 +60,55 @@ def test_word_path_matches_datapath_exhaustively_small():
         assert np.array_equal(got, expected), fmt
 
 
+WIDE_FRACTION_FORMATS = [
+    FixedPositFormat(*spec)
+    for spec in [(32, 0, 1), (32, 1, 1), (32, 0, 30), (32, 2, 3), (31, 0, 1),
+                 (32, 10, 2), (32, 4, 20), (24, 0, 1), (32, 5, 1)]
+]
+
+
+def extreme_words(fmt: FixedPositFormat) -> list[int]:
+    """Zero, NaR, one and the words at both ends of the scale window, both signs."""
+    n, f = fmt.n, fmt.fraction_bits
+    maxpos = (1 << (n - 1)) - 1
+    one = from_binary32(0x3F800000, fmt).bits
+    return [0, 1, 2, (1 << f) - 1, 1 << f, maxpos - ((1 << f) - 1), maxpos - 1, maxpos,
+            1 << (n - 1), (1 << (n - 1)) + 1, (1 << n) - 1, one]
+
+
+@pytest.mark.parametrize("fmt", WIDE_FRACTION_FORMATS, ids=str)
+def test_word_path_matches_datapath_sampled_wide(fmt):
+    # Up to f = 30 fraction bits the significand product takes 62 of int64's 63
+    # bits, so these formats leave the rounding the least headroom.
+    # Random words almost never give a tie at f > 23; fractions with few low
+    # bits set, times each other, give ties that round both up and down.
+    rng = np.random.default_rng(fmt.n * 1000 + fmt.es * 100 + fmt.rs)
+    one, half = from_binary32(0x3F800000, fmt).bits, 1 << (fmt.fraction_bits - 1)
+    special = extreme_words(fmt) + [one | j for j in (1, 3, half, half | 1, half | 3)]
+    a = np.concatenate([rng.integers(0, 1 << fmt.n, 20_000), np.repeat(special, len(special))])
+    b = np.concatenate([rng.integers(0, 1 << fmt.n, 20_000), np.tile(special, len(special))])
+    got = batch.mul_batch(a, b, fmt)
+    expected = [mul_datapath(PositWord(int(x), fmt), PositWord(int(y), fmt)).bits
+                for x, y in zip(a, b)]
+    assert np.array_equal(got, expected), np.flatnonzero(got != expected)[:5]
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((), ()), ((), (3,)), ((4, 1), (3,)), ((4, 1), (1, 3)), ((2, 1, 3), (4, 1))]
+)
+def test_word_path_broadcasts_and_keeps_0d(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) * 10 + len(shape_b))
+    extremes = extreme_words(F1862)
+    a = np.asarray(rng.choice(extremes + list(rng.integers(0, 1 << 18, 12)), shape_a))
+    b = np.asarray(rng.choice(extremes + list(rng.integers(0, 1 << 18, 12)), shape_b))
+    got = batch.mul_batch(a, b, F1862)
+    wide_a, wide_b = np.broadcast_arrays(a, b)
+    assert isinstance(got, np.ndarray) and got.shape == wide_a.shape
+    expected = [mul_datapath(PositWord(int(x), F1862), PositWord(int(y), F1862)).bits
+                for x, y in zip(wide_a.ravel(), wide_b.ravel())]
+    assert np.array_equal(got.ravel(), expected)
+
+
 def test_value_path_matches_word_path_exhaustively_small():
     # For n <= 9 every word's value is a binary32 normal (f <= 7, |scale| <= 64),
     # so feeding the words' values to the value path must reproduce mul_batch

@@ -21,6 +21,7 @@ from fixedposit import (
     zero_word,
 )
 from fixedposit import batch
+from fixedposit.codec import exact_mul
 
 from support import (
     all_fixed_formats,
@@ -96,6 +97,17 @@ def test_encode_rejects_bad_significand():
 def test_encode_rounding_carry_bumps_scale():
     # 1.9375 rounds up to 2.0 at three fraction bits.
     assert encode(1, 0, 31, 4, F822).bits == 0x48  # 2.0
+
+
+def test_exact_mul_short_circuits_nar_then_zero():
+    def unreachable(*args):
+        raise AssertionError("a special operand reached the decoder or encoder")
+
+    nar, zero, one = nar_word(F822), zero_word(F822), encode(1, 0, 1, 0, F822)
+    for a, b in [(nar, zero), (zero, nar), (nar, one), (one, nar), (nar, nar)]:
+        assert exact_mul(a, b, unreachable, unreachable) == nar
+    for a, b in [(zero, one), (one, zero), (zero, zero)]:
+        assert exact_mul(a, b, unreachable, unreachable) == zero
 
 
 # --- binary32 bridge --------------------------------------------------------

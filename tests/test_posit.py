@@ -11,6 +11,7 @@ from fixedposit import (
     PositFormat,
     PositWord,
     bits32_to_float,
+    encode,
     float_to_bits32,
     mul_binary32_bits,
     posit_decode,
@@ -68,6 +69,19 @@ def test_encode_saturates_at_extremes():
 def test_encode_rejects_bad_significand():
     with pytest.raises(ValueError):
         posit_encode(1, 0, 5, 1, P82)
+
+
+def test_encoders_reject_the_other_format_family():
+    fixed = FixedPositFormat(8, 2, 2)
+    one, two = float_to_bits32(1.5), float_to_bits32(2.5)
+    with pytest.raises(TypeError, match="expected a posit format"):
+        posit_encode(1, 0, 1, 0, fixed)
+    with pytest.raises(TypeError, match="expected a posit format"):
+        posit_from_binary32(one, fixed)
+    with pytest.raises(TypeError, match="expected a posit format"):
+        posit_mul_binary32_bits(fixed, one, two)
+    with pytest.raises(TypeError, match="expected a fixed-posit format"):
+        encode(1, 0, 1, 0, P82)
 
 
 @pytest.mark.parametrize(

@@ -228,6 +228,19 @@ def test_native_substitution_reproduces_reference_bit_exactly(name):
     )
 
 
+@pytest.mark.parametrize("size", [2, 64, 4096])
+def test_fft_kernel_under_native_multiplies_is_an_fft(size):
+    from fixedposit.workloads import _kernel_fft, _log_uniform
+
+    signal = _log_uniform(np.random.default_rng(5), -4, 4, size)
+    re, im = _kernel_fft(size, 5, TracingMul(native_mul))
+    expected = np.fft.fft(signal.astype(np.float64))
+    # Each of the log2(size) binary32 butterfly stages rounds; the error stays
+    # within a few ulps of the signal's 1-norm per stage.
+    tol = 4 * np.finfo(np.float32).eps * np.log2(size) * np.abs(signal).sum(dtype=np.float64)
+    assert np.max(np.abs((re + 1j * im) - expected)) <= tol
+
+
 def test_sobel_psnr_thresholds():
     narrow, _ = run_workload("sobel", F18, size=64, seed=1)
     assert narrow.metrics["psnr_db"] >= 30.0

@@ -6,14 +6,15 @@ Usage, from the root of a checkout:
 
 Runs ``python3 perfbench/run.py --workload all --trace 0`` and then the same
 command with ``--trace 1``, both unchanged and so at perfbench's default seed
-and run length, in this checkout (the ``change`` section) and in an export of
-commit ``REV`` made with ``git archive`` (the ``parent`` section); the two
-sides alternate, parent first, within each trace mode.  Every file comes from
-the same two commands, so consecutive files are comparable.  Each section
+and run length, in ``git archive`` exports of this checkout's ``HEAD`` (the
+``change`` section) and of commit ``REV`` (the ``parent`` section); the two
+sides alternate, parent first, within each trace mode.  Both sides start from
+fresh exports, so neither imports bytecode the other lacks.  Every file comes
+from the same two commands, so consecutive files are comparable.  Each section
 holds the machine record, the end-to-end metrics of every workload from the
 untraced run, and the per-layer figures of the traced run.  Run it on
-committed work: the change side's ``git_commit`` is this checkout's HEAD.
-The exit code is 0 only when every run exited 0.
+committed work: uncommitted edits are not measured.  The exit code is 0 only
+when every run exited 0.
 """
 
 from __future__ import annotations
@@ -70,15 +71,15 @@ def main(argv: list[str] | None = None) -> int:
 
     (ROOT / ".perfbench").mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=ROOT / ".perfbench") as scratch:
-        parent_commit = export(args.parent, Path(scratch))
-        sides = {"parent": Path(scratch), "change": ROOT}
+        sides = {side: Path(scratch) / side for side in ("parent", "change")}
+        commits = {side: export(rev, sides[side])
+                   for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         runs = {(side, trace): run_benchmark(checkout, trace)
                 for trace in (0, 1) for side, checkout in sides.items()}
 
     report = {"pr": args.pr, "command": "python3 perfbench/run.py --workload all --trace {0,1}"}
-    # An export has no .git to read the commit from.
-    runs["parent", 0]["record"]["git_commit"] = parent_commit
     for side in sides:
+        runs[side, 0]["record"]["git_commit"] = commits[side]  # an export has no .git
         untraced, traced = runs[side, 0], runs[side, 1]
         report[side] = {
             "record": untraced["record"],
