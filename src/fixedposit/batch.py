@@ -16,6 +16,14 @@ magnitude within ``2**+-260``, so it is a binary64 normal; ``Q`` of it keeps
 binary32 is then the one correct rounding ``to_binary32`` performs,
 subnormal outputs and overflow to infinity included.
 
+An ordinary lane pays only for widening, rounding and one range test per
+stage: an unsigned compare on the binary32 bits finds the zero, subnormal,
+infinite and NaN operands, and one on the rounded magnitude's bits finds
+every value outside ``(2**min_scale, maxpos]``.  The fix-ups (flush, NaN,
+clamp, nudge, ``+0``, NaN canonicalisation) run only on calls that have such
+a lane, so a small call costs about as much as its fixed NumPy calls.  Each
+format's constants are computed once, by ``_constants``.
+
 *Conversions* (``from_binary32_batch``, ``to_binary64_batch``,
 ``to_binary32_batch``), used by the sweeps.  The encode packs the value
 path's quantised operand: its binary64 exponent is the word's scale and its
@@ -35,6 +43,8 @@ limits batch formats to n <= 32 (plenty for every stock configuration).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,6 +57,52 @@ _QNAN32 = 0x7FC00000  # NaR as binary32
 def _check_fmt(fmt: FixedPositFormat) -> None:
     if fmt.n > 32:
         raise ValueError(f"batch codec carries at most 32-bit words, got {fmt}")
+
+
+def _f64_bits(value: float) -> np.uint64:
+    return np.float64(value).view(np.uint64)
+
+
+@dataclass(frozen=True, slots=True)
+class _Constants:
+    """What the value path and ``_pack`` need of one format, as NumPy scalars."""
+
+    drop: np.uint64  # binary64 fraction bits below the format's f
+    half: np.uint64  # half an ulp less one, at the last kept bit
+    keep: np.uint64  # clears the dropped bits
+    low: np.uint64  # bits of the smallest magnitude in range, the one above 2**min_scale
+    span: np.uint64  # maxpos's bits less ``low``
+    zero: np.uint64  # zero's bits less ``low``, wrapped round
+    minpos: float
+    maxpos: float
+    regimes: np.ndarray  # regime fields for k = -rs .. rs-1, shifted into place
+
+
+@cache
+def _constants(fmt: FixedPositFormat) -> _Constants:
+    es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
+    drop = 52 - f
+    rng = scale_range(fmt)
+    # Values reaching the value path lie within 2**+-260, so a window wider than
+    # 2**+-1000 saturates nothing; clamping keeps its bounds finite.
+    lo, hi = max(rng.min_scale, -1000), min(rng.max_scale, 1000)
+    maxpos = math.ldexp(2.0 - 2.0**-f, hi)
+    low = _f64_bits(math.ldexp(1.0, lo)) + np.uint64(1)
+    # Regime fields: -k zeros then ones, or k+1 ones then zeros.
+    regimes = np.array([(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
+                        for k in range(-rs, rs)], _I64) << (es + f)
+    regimes.flags.writeable = False  # every caller shares it
+    return _Constants(
+        drop=np.uint64(drop),
+        half=np.uint64((1 << (drop - 1)) - 1),
+        keep=~np.uint64((1 << drop) - 1),
+        low=low,
+        span=_f64_bits(maxpos) - low,
+        zero=np.uint64((1 << 64) - int(low)),
+        minpos=math.ldexp(1.0 + 2.0**-f, lo),
+        maxpos=maxpos,
+        regimes=regimes,
+    )
 
 
 def _fields(words: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, ...]:
@@ -75,12 +131,9 @@ def _fields(words: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, ...]:
 
 def _pack(scale: np.ndarray, fraction: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Positive magnitudes of in-window scales and ``f``-bit fractions."""
-    es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
-    # Regime fields for k = -rs .. rs-1: -k zeros then ones, or k+1 ones then zeros.
-    regimes = [(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
-               for k in range(-rs, rs)]
+    es, f = fmt.es, fmt.fraction_bits
     # Clipping keeps out-of-window lanes, which the callers overwrite, in the table.
-    mag = np.take(np.array(regimes, _I64) << (es + f), (scale >> es) + rs, mode="clip")
+    mag = np.take(_constants(fmt).regimes, (scale >> es) + fmt.rs, mode="clip")
     mag |= (scale & ((1 << es) - 1)) << f
     mag |= fraction
     return mag
@@ -104,9 +157,13 @@ def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray
 
 
 def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Vector version of codec.to_binary64; exact float64 values.
+    """Vector version of codec.to_binary64, equal to it wherever it returns.
 
-    Scales beyond binary64's range give +-inf or 0, as ``np.ldexp`` does.
+    Where ``to_binary64`` raises because a word is not exactly a binary64
+    value, this returns ``np.ldexp``'s rounding of it instead: +-inf past
+    binary64's range, and below its normal range the nearest subnormal or
+    zero, ties to even.  Words with n <= 32 and scales in [-1022, 1023] are
+    exact.
     """
     _check_fmt(fmt)
     shape = np.shape(words)
@@ -167,44 +224,59 @@ def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
 
     Rounds in place when ``x`` is contiguous and returns the result at
     ``x``'s shape.  Ties go to even.  Magnitudes past the largest value
-    saturate to it, and nonzero magnitudes at or below ``2**min_scale``
-    become the smallest.
+    saturate to it, nonzero magnitudes at or below ``2**min_scale`` become
+    the smallest, and zeros become +0.
     """
-    shape = x.shape
-    x = x.reshape(-1)  # on 0-d arrays the in-place ufuncs below would return scalars
-    f = fmt.fraction_bits
-    drop = 52 - f
+    flat = x.reshape(-1)  # on 0-d arrays the in-place ufuncs below would return scalars
+    _round_and_clamp(flat, _constants(fmt))
+    return flat.reshape(x.shape)
+
+
+def _round_and_clamp(x: np.ndarray, c: _Constants) -> int:
+    """``_quantize`` of a 1-d ``x`` in place; returns how many lanes were rare.
+
+    A lane is rare when its rounded magnitude lies outside
+    (2**min_scale, maxpos]: a zero, an underflow, an overflow or a NaN.
+    Only rare lanes are clamped.
+    """
     bits = x.view(np.uint64)
     # Adding half an ulp less one, plus the kept lsb, then truncating is RNE;
     # a carry into the exponent field is the correct rounding up.
-    step = bits >> np.uint64(drop)
+    step = bits >> c.drop
     step &= np.uint64(1)
-    step += np.uint64((1 << (drop - 1)) - 1)
+    step += c.half
     bits += step
-    bits &= ~np.uint64((1 << drop) - 1)
-
-    rng = scale_range(fmt)
-    # Values reaching here lie within 2**+-260, so a window wider than
-    # 2**+-1000 saturates nothing; clamping keeps its bounds finite.
-    lo, hi = max(rng.min_scale, -1000), min(rng.max_scale, 1000)
-    minpos = math.ldexp(1.0 + 2.0**-f, lo)
-    maxpos = math.ldexp(2.0 - 2.0**-f, hi)
-    mag = np.abs(x, out=step.view(np.float64))  # reuses the rounding buffer
-    under = mag <= math.ldexp(1.0, lo)
-    under &= mag > 0
-    x[under] = np.copysign(minpos, x[under])
-    np.clip(x, -maxpos, maxpos, out=x)
-    return x.reshape(shape)
+    bits &= c.keep
+    # One unsigned compare finds the rare lanes: magnitudes below ``low`` wrap
+    # round to the top.  It reuses the rounding buffer.
+    offset = np.bitwise_and(bits, np.uint64(0x7FFF_FFFF_FFFF_FFFF), out=step)
+    offset -= c.low
+    rare = offset > c.span
+    count = np.count_nonzero(rare)
+    if count:
+        # NaNs stay, zeros become +0 (word 0 is +0, never -0), overflows saturate.
+        np.clip(x, -c.maxpos, c.maxpos, out=x)
+        x += 0.0
+        under = offset > c.zero  # nonzero magnitudes at or below 2**min_scale wrap past zero
+        if np.count_nonzero(under):
+            np.copysign(c.minpos, x, out=x, where=under)
+    return count
 
 
 def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Binary64 value of ``from_binary32`` of each binary32 operand; NaR is NaN."""
-    with np.errstate(invalid="ignore"):  # widening a signalling NaN flags invalid
-        x = x32.astype(np.float64, order="C")
-    exp_field = x32.view(np.uint32) & np.uint32(0x7F800000)
-    x[exp_field == 0] = 0.0  # zeros and subnormals flush
-    x[exp_field == 0x7F800000] = np.nan  # one NaN pattern, safe to round
-    return _quantize(x, fmt)
+    flat = x32.reshape(-1)
+    # One unsigned compare finds the rare lanes: zeros and subnormals, whose
+    # offset wraps round to the top, and infinities and NaNs.
+    offset = flat.view(np.uint32) & np.uint32(0x7FFFFFFF)
+    offset -= np.uint32(0x00800000)
+    rare = offset > np.uint32(0x7F7FFFFF - 0x00800000)
+    if np.count_nonzero(rare):
+        # Zeros and subnormals flush to +0; infinities and NaNs become one quiet
+        # NaN, so no signalling NaN reaches the widening cast.
+        fixed = np.where(offset < np.uint32(1 << 31), np.uint32(_QNAN32), np.uint32(0))
+        flat = np.where(rare, fixed, flat.view(np.uint32)).view(np.float32)
+    return _quantize(flat.astype(np.float64), fmt).reshape(x32.shape)
 
 
 def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,16 +289,16 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
     _check_fmt(fmt)
     qa = _operand(np.asarray(a, np.float32), fmt)
     qb = _operand(np.asarray(b, np.float32), fmt)
-    shape = np.broadcast_shapes(qa.shape, qb.shape)
+    shape = np.broadcast(qa, qb).shape
     # Writing into an operand of the full shape, when there is one, saves an array.
     full = qa if qa.shape == shape else qb if qb.shape == shape else None
-    product = np.multiply(qa, qb, out=full)
-    product = _quantize(product, fmt)
-    product += 0.0  # word 0 is +0, never -0
+    product = np.multiply(qa, qb, out=full).reshape(-1)
+    rare = _round_and_clamp(product, _constants(fmt))
     with np.errstate(over="ignore"):
         out = product.astype(np.float32)
-    out.view(np.uint32)[np.isnan(out)] = _QNAN32  # NaN sign and payload vary by platform
-    return out
+    if rare:  # NaN sign and payload vary by platform
+        out.view(np.uint32)[np.isnan(out)] = _QNAN32
+    return out.reshape(shape)
 
 
 def _bits_to_float32(bits: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ particular random draw.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -50,7 +49,7 @@ class TracingMul:
 
     def __call__(self, a, b) -> np.ndarray:
         a32, b32 = np.asarray(a, _F32), np.asarray(b, _F32)
-        self.count += math.prod(np.broadcast_shapes(a32.shape, b32.shape))
+        self.count += np.broadcast(a32, b32).size
         if self.record:
             wide_a, wide_b = np.broadcast_arrays(a32, b32)
             self._a_chunks.append(np.ascontiguousarray(wide_a).view(np.uint32).ravel().copy())

@@ -279,3 +279,141 @@ def test_operands_at_own_shape_match_broadcast_first(fmt, shapes, seed, strided)
     expected = broadcast_first_mul(fmt, a, b)
     assert got.shape == expected.shape == shapes.result_shape
     assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
+def test_binary64_decode_rounds_like_ldexp_where_scalar_raises():
+    # Below binary64's normal range the scalar decode raises, but the batch
+    # decode returns np.ldexp's rounding: 0x1ee7ffff is (2**20 - 1) * 2**-1079,
+    # which rounds up to 2**-1059; 0x1f000001 is 524289 * 2**-1075, a tie that
+    # goes to the even 2**18 * 2**-1074.  Past binary64's range it gives +-inf.
+    fmt = FixedPositFormat(32, 10, 2)
+    words = [0x1EE7FFFF, 0x1F000001, 0x00000001, 0x60000000, 0xA0000000]
+    for word in words:
+        with pytest.raises(ValueError, match="does not fit exactly in binary64"):
+            to_binary64(PositWord(word, fmt))
+    got = batch.to_binary64_batch(np.array(words), fmt)
+    assert got[0] == math.ldexp(1.0, -1059) and got[0] == 1.61895e-319
+    assert got.view(np.uint64)[1] == 1 << 18
+    assert got[2] == 0.0
+    assert np.array_equal(got[3:], [np.inf, -np.inf])
+
+
+# The value path finds rare lanes with one range test per stage and fixes only
+# those: zeros, subnormals, infinities and NaNs among the operands; zeros,
+# underflows, overflows and NaNs among the rounded values.  These formats cover
+# operand rounding (f < 23) and none (f = 23), regime aliasing (rs = 3), and a
+# maxpos past binary32, where the product's cast overflows.
+RARE_LANE_FORMATS = [F1862, FixedPositFormat(32, 6, 2), FixedPositFormat(12, 2, 3),
+                     FixedPositFormat(16, 8, 1)]
+SPECIALS = [0x00000000, 0x00000001, 0x007FFFFF, 0x7F800000, 0x7FC00000, 0x7FFFFFFF,
+            0x7F800001, 0x7FBFFFFF]  # zero, subnormals, inf, quiet and signalling NaNs
+
+
+def scalar_products(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    wide_a, wide_b = np.broadcast_arrays(a.view(np.uint32), b.view(np.uint32))
+    expected = [mul_binary32_bits(fmt, int(x), int(y)) for x, y in zip(wide_a.flat, wide_b.flat)]
+    return np.array(expected, np.uint32).reshape(wide_a.shape)
+
+
+def checked_mul(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``mul_float32_batch``, run with warnings as errors and pinned to the scalar path."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = batch.mul_float32_batch(fmt, a, b)
+        words = batch.from_binary32_batch(a.view(np.uint32), fmt)
+    assert np.array_equal(got.view(np.uint32), scalar_products(fmt, a, b))
+    assert np.array_equal(words.ravel(), [from_binary32(int(x), fmt).bits for x in a.view(np.uint32).flat])
+    return got
+
+
+def is_normal(x: np.ndarray) -> np.ndarray:
+    magnitude = x.view(np.uint32) & 0x7FFFFFFF
+    return (magnitude >= 0x00800000) & (magnitude < 0x7F800000)
+
+
+@pytest.mark.parametrize("fmt", RARE_LANE_FORMATS, ids=str)
+def test_value_path_with_no_rare_operand_rounds_onto_and_past_the_limits(fmt):
+    # Binary32 normals within a few half-ulps of 2**min_scale, minpos and
+    # maxpos and of their square roots, so operands and products round onto
+    # the limits, past them, or stay just inside.
+    f, rng = fmt.fraction_bits, scale_range(fmt)
+    limits = [math.ldexp(1.0, rng.min_scale), math.ldexp(1.0 + 2.0**-f, rng.min_scale),
+              math.ldexp(2.0 - 2.0**-f, rng.max_scale)]
+    centres = limits + [math.sqrt(v) for v in limits]
+    near = [c * (1 + k * 2.0 ** -(f + 1)) for c in centres for k in range(-3, 4)]
+    with np.errstate(over="ignore"):  # limits past binary32 become infinities, dropped below
+        near32 = np.array(near, np.float32)
+        near32 = np.concatenate([near32, np.nextafter(near32, np.float32(0)),
+                                 np.nextafter(near32, np.float32(np.inf))])
+    ops = near32[is_normal(near32)]
+    ops = np.concatenate([ops, -ops])
+    got = checked_mul(fmt, ops[:, None], ops[None, :])
+    # The products saturate to maxpos (or its binary32 overflow) and, where
+    # products of binary32 normals reach 2**min_scale, to minpos.
+    reached = set(got.view(np.uint32).flat)
+    assert to_binary32(PositWord((1 << (fmt.n - 1)) - 1, fmt)) in reached
+    assert rng.min_scale < -252 or to_binary32(PositWord(1, fmt)) in reached
+
+
+def out_of_window_normals(fmt: FixedPositFormat) -> list[float]:
+    """Binary32 normals that ``fmt`` saturates: below 2**min_scale or past maxpos."""
+    rng, f = scale_range(fmt), fmt.fraction_bits
+    candidates = [math.ldexp(1.5, rng.min_scale - 3), math.ldexp(1.0, rng.min_scale),
+                  math.ldexp(2.0 - 2.0 ** -(f + 2), rng.max_scale), math.ldexp(1.25, rng.max_scale + 2)]
+    return [v for v in candidates if 2.0**-126 <= v <= float(np.finfo(np.float32).max)]
+
+
+@pytest.mark.parametrize("fmt", RARE_LANE_FORMATS, ids=str)
+def test_value_path_where_every_lane_is_rare(fmt):
+    specials = np.array(SPECIALS, np.uint32).view(np.float32)
+    saturating = np.array(out_of_window_normals(fmt), np.float32)
+    ops = np.concatenate([specials, saturating])
+    ops = np.concatenate([ops, -ops])
+    words = batch.from_binary32_batch(ops.view(np.uint32), fmt)
+    maxword = (1 << (fmt.n - 1)) - 1
+    rare_words = [0, 1, maxword, 1 << (fmt.n - 1), (1 << fmt.n) - 1, (1 << fmt.n) - maxword]
+    assert np.isin(words, rare_words).all()
+    checked_mul(fmt, ops, ops[::-1])  # elementwise: every operand lane is rare
+    checked_mul(fmt, ops[:, None], specials[None, :])  # and every product lane
+    checked_mul(fmt, saturating[:, None], saturating[None, :])  # underflows and overflows
+
+
+@pytest.mark.parametrize("fmt", RARE_LANE_FORMATS, ids=str)
+def test_value_path_on_mostly_zero_operands(fmt):
+    rng = np.random.default_rng(fmt.n * 1000 + fmt.es * 100 + fmt.rs)
+    window = scale_range(fmt)
+    lo, hi = max(window.min_scale - 2, -126), min(window.max_scale + 2, 127)
+
+    def mostly_zero(size: int) -> np.ndarray:
+        x = (rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(lo, hi + 1, size)).astype(np.float32)
+        x *= rng.choice(np.array([-1, 1], np.float32), size)
+        zeros = rng.random(size) < 0.9
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, np.float32(0.0), np.float32(-0.0))
+        return x
+
+    a, b = mostly_zero(2_000), mostly_zero(2_000)
+    dense = mostly_zero(2_000)
+    dense[dense == 0] = np.float32(1.5)
+    checked_mul(fmt, a, b)
+    checked_mul(fmt, a, dense)
+    checked_mul(fmt, a[:40, None], b[None, :40])
+
+
+def test_formats_alternating_call_by_call():
+    # Both formats have n = 18 and f = 9 but different windows and regime
+    # fields, so per-format constants that are keyed or filled wrongly give one
+    # of them the other's results.
+    formats = [F1862, FixedPositFormat(18, 5, 3)]
+    rng = np.random.default_rng(11)
+    ops = (rng.uniform(1.0, 2.0, 64) * 2.0 ** rng.integers(-126, 128, 64)).astype(np.float32)
+    ops = np.concatenate([ops, np.array(SPECIALS, np.uint32).view(np.float32)])
+    expected = {fmt: (scalar_products(fmt, ops, ops[::-1]),
+                      [from_binary32(int(x), fmt).bits for x in ops.view(np.uint32)])
+                for fmt in formats}
+    assert not np.array_equal(expected[formats[0]][0], expected[formats[1]][0])
+    assert expected[formats[0]][1] != expected[formats[1]][1]
+    for call in range(6):
+        fmt = formats[call % 2]
+        got = batch.mul_float32_batch(fmt, ops, ops[::-1])
+        assert np.array_equal(got.view(np.uint32), expected[fmt][0]), (call, fmt)
+        assert np.array_equal(batch.from_binary32_batch(ops.view(np.uint32), fmt), expected[fmt][1])

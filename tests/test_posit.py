@@ -13,6 +13,7 @@ from fixedposit import (
     bits32_to_float,
     encode,
     float_to_bits32,
+    from_binary32,
     mul_binary32_bits,
     posit_decode,
     posit_encode,
@@ -82,6 +83,19 @@ def test_encoders_reject_the_other_format_family():
         posit_mul_binary32_bits(fixed, one, two)
     with pytest.raises(TypeError, match="expected a fixed-posit format"):
         encode(1, 0, 1, 0, P82)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000],
+    ids=["+0", "-0", "min-subnormal", "-max-subnormal", "qnan", "snan", "+inf", "-inf"],
+)
+def test_binary32_bridges_check_the_family_before_zero_and_nar(pattern):
+    # These operands never reach the encoder, so the bridge checks the family itself.
+    with pytest.raises(TypeError, match="expected a posit format"):
+        posit_from_binary32(pattern, FixedPositFormat(8, 2, 2))
+    with pytest.raises(TypeError, match="expected a fixed-posit format"):
+        from_binary32(pattern, P82)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,14 @@ sides alternate, parent first, within each trace mode.  Both sides start from
 fresh exports, so neither imports bytecode the other lacks.  Every file comes
 from the same two commands, so consecutive files are comparable.  Each section
 holds the machine record, the end-to-end metrics of every workload from the
-untraced run, and the per-layer figures of the traced run.  Run it on
+untraced run, and the per-layer figures of the traced run.
+
+Each section's ``application`` part holds the figures a user of the CLI
+sees, from the same exports and again alternating sides: the substituted
+run's ``elapsed_s`` of each kernel at its default size and (18,6,2), and the
+``wall_time_s`` of ``sweep --all-paper-widths``, each the minimum of
+``--repeats`` runs; and the wall time and summary line of one tier-1 run
+(``python3 -m pytest -q --continue-on-collection-errors``).  Run it on
 committed work: uncommitted edits are not measured.  The exit code is 0 only
 when every run exited 0.
 """
@@ -22,13 +29,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+KERNELS = ("axpby", "gemm", "trsv", "dot", "blackscholes", "fft", "kmeans", "sobel", "mlp_forward")
+SUBSTITUTED_FMT = "18,6,2"
 
 
 def run_benchmark(checkout: Path, trace: int) -> dict:
@@ -50,6 +61,51 @@ def run_benchmark(checkout: Path, trace: int) -> dict:
     }
 
 
+def run_in(checkout: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python3 ARGS`` in ``checkout`` with its own ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+
+
+def cli_report(checkout: Path, args: list[str]) -> dict:
+    """The ``--json`` report of one ``fixedposit`` command."""
+    done = run_in(checkout, ["-m", "fixedposit.cli", *args, "--json"])
+    if done.returncode != 0:
+        raise SystemExit(f"error: fixedposit {' '.join(args)} in {checkout}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def application_figures(sides: dict[str, Path], repeats: int) -> dict[str, dict]:
+    """Per side: kernel and sweep times, each the minimum of ``repeats`` runs, and tier-1.
+
+    The sides take turns on every repeat, so a slow spell of the host hits both.
+    """
+    kernels = {side: dict.fromkeys(KERNELS, float("inf")) for side in sides}
+    sweep = dict.fromkeys(sides, float("inf"))
+    for _ in range(repeats):
+        for side, checkout in sides.items():
+            for name in KERNELS:
+                argv = ["workload", "--name", name, "--fmt", SUBSTITUTED_FMT]
+                elapsed = cli_report(checkout, argv)["results"][0]["elapsed_s"]
+                kernels[side][name] = min(kernels[side][name], elapsed)
+            wall = cli_report(checkout, ["sweep", "--all-paper-widths"])["wall_time_s"]
+            sweep[side] = min(sweep[side], wall)
+    figures = {}
+    for side, checkout in sides.items():
+        started = time.perf_counter()
+        tier1 = run_in(checkout, ["-m", "pytest", "-q", "--continue-on-collection-errors"])
+        lines = tier1.stdout.strip().splitlines()
+        figures[side] = {
+            "kernel_elapsed_s": kernels[side],
+            "sweep_all_paper_widths_s": sweep[side],
+            "tier1_wall_s": round(time.perf_counter() - started, 3),
+            "tier1_exit_code": tier1.returncode,
+            "tier1_summary": lines[-1] if lines else "",
+        }
+    return figures
+
+
 def export(rev: str, into: Path) -> str:
     """Extract commit ``rev`` of this repository into ``into``; return its full hash."""
     commit = subprocess.run(
@@ -67,6 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--parent", metavar="REV", required=True, help="commit to compare with")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="runs per kernel and sweep figure, of which the minimum is kept")
     args = parser.parse_args(argv)
 
     (ROOT / ".perfbench").mkdir(exist_ok=True)
@@ -76,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
                    for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         runs = {(side, trace): run_benchmark(checkout, trace)
                 for trace in (0, 1) for side, checkout in sides.items()}
+        application = application_figures(sides, args.repeats)
 
     report = {"pr": args.pr, "command": "python3 perfbench/run.py --workload all --trace {0,1}"}
     for side in sides:
@@ -87,11 +146,14 @@ def main(argv: list[str] | None = None) -> int:
             "correct": untraced["correct"] and traced["correct"],
             "end_to_end": untraced["metrics"],
             "per_layer": traced["metrics"],
+            "application": application[side],
         }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(out)
-    return 0 if all(run["exit_code"] == 0 for run in runs.values()) else 1
+    exit_codes = [run["exit_code"] for run in runs.values()]
+    exit_codes += [figures["tier1_exit_code"] for figures in application.values()]
+    return 0 if all(code == 0 for code in exit_codes) else 1
 
 
 if __name__ == "__main__":
