@@ -43,8 +43,8 @@ limits batch formats to n <= 32 (plenty for every stock configuration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def _f64_bits(value: float) -> np.uint64:
     return np.float64(value).view(np.uint64)
 
 
-@dataclass(frozen=True, slots=True)
-class _Constants:
+class _Constants(NamedTuple):
     """What the value path and ``_pack`` need of one format, as NumPy scalars."""
 
     drop: np.uint64  # binary64 fraction bits below the format's f
