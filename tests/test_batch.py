@@ -417,3 +417,21 @@ def test_formats_alternating_call_by_call():
         got = batch.mul_float32_batch(fmt, ops, ops[::-1])
         assert np.array_equal(got.view(np.uint32), expected[fmt][0]), (call, fmt)
         assert np.array_equal(batch.from_binary32_batch(ops.view(np.uint32), fmt), expected[fmt][1])
+
+
+def test_output_nan_is_canonical_whatever_nan_the_product_carries(monkeypatch):
+    # On x86 a product NaN is the operands' own quiet NaN, so the output
+    # canonicalisation is exercised here by handing the multiply operands whose
+    # NaN is negative and carries a payload, as other platforms may produce.
+    operand = batch._operand
+
+    def odd_nan_operand(x32, fmt):
+        x = operand(x32, fmt)
+        x.view(np.uint64)[np.isnan(x)] = 0xFFF8_0000_0000_1234
+        return x
+
+    monkeypatch.setattr(batch, "_operand", odd_nan_operand)
+    a = np.array([np.nan, 1.5, np.inf, 2.0], np.float32)
+    b = np.array([2.0, np.nan, -3.0, 0.5], np.float32)
+    out = batch.mul_float32_batch(F1862, a, b)
+    assert out.view(np.uint32).tolist() == [0x7FC00000] * 3 + [0x3F800000]
