@@ -187,19 +187,13 @@ def encode(
     return PositWord(bits, fmt)
 
 
-def encode_binary32(
-    x_bits: int, fmt, encoder: Callable[..., PositWord], family: type
-) -> PositWord:
+def encode_binary32(x_bits: int, fmt, encoder: Callable[..., PositWord]) -> PositWord:
     """Convert a binary32 bit pattern to a word of ``fmt`` through ``encoder``.
 
-    ``encoder`` takes ``encode``'s arguments and rounds into ``family``
-    formats.  Zeros and subnormals flush to the zero word; NaN and
-    infinities map to NaR.  A ``fmt`` of another family raises ``TypeError``
-    for these operands too, as the encoder does for the others.
+    ``encoder`` takes ``encode``'s arguments.  Zeros and subnormals flush to
+    the zero word; NaN and infinities map to NaR.  Callers check ``fmt``'s
+    family first, since these operands never reach ``encoder``.
     """
-    if not isinstance(fmt, family):
-        kind = "fixed-posit" if family is FixedPositFormat else "posit"
-        raise TypeError(f"expected a {kind} format, got {fmt}")
     exp_field = (x_bits >> 23) & 0xFF
     if exp_field == 0xFF:
         return nar_word(fmt)
@@ -212,7 +206,9 @@ def encode_binary32(
 
 def from_binary32(x_bits: int, fmt: FixedPositFormat) -> PositWord:
     """Convert a binary32 bit pattern to a fixed-posit word (see ``encode_binary32``)."""
-    return encode_binary32(x_bits, fmt, encode, FixedPositFormat)
+    if not isinstance(fmt, FixedPositFormat):
+        raise TypeError(f"expected a fixed-posit format, got {fmt}")
+    return encode_binary32(x_bits, fmt, encode)
 
 
 def exact_mul(

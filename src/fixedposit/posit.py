@@ -135,7 +135,9 @@ def posit_encode(
 
 def posit_from_binary32(x_bits: int, fmt: PositFormat) -> PositWord:
     """Convert a binary32 bit pattern to a posit word (subnormals flush to zero)."""
-    return encode_binary32(x_bits, fmt, posit_encode, PositFormat)
+    if not isinstance(fmt, PositFormat):
+        raise TypeError(f"expected a posit format, got {fmt}")
+    return encode_binary32(x_bits, fmt, posit_encode)
 
 
 def posit_to_binary32(w: PositWord) -> int:

@@ -18,7 +18,7 @@ Each section's ``application`` part holds the figures a user of the CLI
 sees, from the same exports and again alternating sides: the substituted
 run's ``elapsed_s`` of each kernel at its default size and (18,6,2), and the
 ``wall_time_s`` of ``sweep --all-paper-widths``, each the minimum of
-``--repeats`` runs; and the wall time and summary line of one tier-1 run
+``REPEATS`` runs; and the wall time and summary line of one tier-1 run
 (``python3 -m pytest -q --continue-on-collection-errors``).  Run it on
 committed work: uncommitted edits are not measured.  The exit code is 0 only
 when every run exited 0.
@@ -40,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = ("axpby", "gemm", "trsv", "dot", "blackscholes", "fft", "kmeans", "sobel", "mlp_forward")
 SUBSTITUTED_FMT = "18,6,2"
+REPEATS = 5  # runs per kernel and sweep figure, of which the minimum is kept
 
 
 def run_benchmark(checkout: Path, trace: int) -> dict:
@@ -76,14 +77,14 @@ def cli_report(checkout: Path, args: list[str]) -> dict:
     return json.loads(done.stdout)
 
 
-def application_figures(sides: dict[str, Path], repeats: int) -> dict[str, dict]:
-    """Per side: kernel and sweep times, each the minimum of ``repeats`` runs, and tier-1.
+def application_figures(sides: dict[str, Path]) -> dict[str, dict]:
+    """Per side: kernel and sweep times, each the minimum of ``REPEATS`` runs, and tier-1.
 
     The sides take turns on every repeat, so a slow spell of the host hits both.
     """
     kernels = {side: dict.fromkeys(KERNELS, float("inf")) for side in sides}
     sweep = dict.fromkeys(sides, float("inf"))
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for side, checkout in sides.items():
             for name in KERNELS:
                 argv = ["workload", "--name", name, "--fmt", SUBSTITUTED_FMT]
@@ -123,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--parent", metavar="REV", required=True, help="commit to compare with")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per kernel and sweep figure, of which the minimum is kept")
     args = parser.parse_args(argv)
 
     (ROOT / ".perfbench").mkdir(exist_ok=True)
@@ -134,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                    for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         runs = {(side, trace): run_benchmark(checkout, trace)
                 for trace in (0, 1) for side, checkout in sides.items()}
-        application = application_figures(sides, args.repeats)
+        application = application_figures(sides)
 
     report = {"pr": args.pr, "command": "python3 perfbench/run.py --workload all --trace {0,1}"}
     for side in sides:
