@@ -22,7 +22,9 @@ infinite and NaN operands, and one on the rounded magnitude's bits finds
 every value outside ``(2**min_scale, maxpos]``.  The fix-ups (flush, NaN,
 clamp, nudge, ``+0``, NaN canonicalisation) run only on calls that have such
 a lane, so a small call costs about as much as its fixed NumPy calls.  Each
-format's constants are computed once, by ``_constants``.
+format's constants are computed once, by ``_constants``.  ``_quantize``
+rounds a 1-d binary64 array in place; callers flatten first, since on a 0-d
+array the in-place ufuncs would return scalars.
 
 *Conversions* (``from_binary32_batch``, ``to_binary64_batch``,
 ``to_binary32_batch``), used by the sweeps.  The encode packs the value
@@ -38,6 +40,8 @@ the scalar codec it is the reference the value path is tested against.
 Every function here is pinned to the scalar functions by exhaustive
 small-width and sampled 32-bit equivalence tests.  The int64 word carrier
 limits batch formats to n <= 32 (plenty for every stock configuration).
+``_constants`` holds that width gate, and every public function reaches it:
+the value path through ``_quantize``, the word decode through ``_fields``.
 """
 
 from __future__ import annotations
@@ -52,11 +56,6 @@ from .formats import FixedPositFormat, scale_range
 
 _I64 = np.int64
 _QNAN32 = 0x7FC00000  # NaR as binary32
-
-
-def _check_fmt(fmt: FixedPositFormat) -> None:
-    if fmt.n > 32:
-        raise ValueError(f"batch codec carries at most 32-bit words, got {fmt}")
 
 
 def _f64_bits(value: float) -> np.uint64:
@@ -79,6 +78,8 @@ class _Constants(NamedTuple):
 
 @cache
 def _constants(fmt: FixedPositFormat) -> _Constants:
+    if fmt.n > 32:
+        raise ValueError(f"batch codec carries at most 32-bit words, got {fmt}")
     es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
     drop = 52 - f
     rng = scale_range(fmt)
@@ -110,6 +111,7 @@ def _fields(words: np.ndarray, fmt: FixedPositFormat) -> tuple[np.ndarray, ...]:
     Zero and NaR lanes decode to values the callers overwrite.  Updating in
     place keeps few arrays alive, which saves page faults on large calls.
     """
+    _constants(fmt)  # the width gate
     n, es, rs, f = fmt.n, fmt.es, fmt.rs, fmt.fraction_bits
     signed = (words << (64 - n)) >> (64 - n)
     mag = np.abs(signed)
@@ -140,7 +142,6 @@ def _pack(scale: np.ndarray, fraction: np.ndarray, fmt: FixedPositFormat) -> np.
 
 def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Vector version of codec.from_binary32; returns int64 word patterns."""
-    _check_fmt(fmt)
     n, f = fmt.n, fmt.fraction_bits
     x32 = _bits_to_float32(x_bits)
     bits = _operand(x32.reshape(-1), fmt).view(_I64)  # 1-d, so the masked stores work on 0-d input
@@ -164,7 +165,6 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     zero, ties to even.  Words with n <= 32 and scales in [-1022, 1023] are
     exact.
     """
-    _check_fmt(fmt)
     shape = np.shape(words)
     w = np.asarray(words).astype(_I64).reshape(-1)  # on 0-d input the ufuncs would give scalars
     signed, scale, significand = _fields(w, fmt)
@@ -191,7 +191,6 @@ def to_binary32_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
 
 def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Vector version of multiplier.mul_datapath: round, clamp, pack."""
-    _check_fmt(fmt)
     a = np.asarray(a_words).astype(_I64)
     b = np.asarray(b_words).astype(_I64)
     n, f = fmt.n, fmt.fraction_bits
@@ -219,16 +218,14 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
 
 
 def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Round finite or NaN binary64 values to the nearest value of ``fmt``.
+    """Round a 1-d array of finite or NaN binary64 values to the nearest value of ``fmt``.
 
-    Rounds in place when ``x`` is contiguous and returns the result at
-    ``x``'s shape.  Ties go to even.  Magnitudes past the largest value
+    Rounds in place and returns ``x``.  Ties go to even.  Magnitudes past the largest value
     saturate to it, nonzero magnitudes at or below ``2**min_scale`` become
     the smallest, and zeros become +0.
     """
-    flat = x.reshape(-1)  # on 0-d arrays the in-place ufuncs below would return scalars
-    _round_and_clamp(flat, _constants(fmt))
-    return flat.reshape(x.shape)
+    _round_and_clamp(x, _constants(fmt))
+    return x
 
 
 def _round_and_clamp(x: np.ndarray, c: _Constants) -> int:
@@ -285,7 +282,6 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
     broadcast, so a column times a row quantises ``n + m`` operands, not
     ``2 * n * m``.
     """
-    _check_fmt(fmt)
     qa = _operand(np.asarray(a, np.float32), fmt)
     qb = _operand(np.asarray(b, np.float32), fmt)
     shape = np.broadcast(qa, qb).shape
@@ -301,7 +297,8 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
 
 
 def _bits_to_float32(bits: np.ndarray) -> np.ndarray:
-    return (np.asarray(bits).astype(_I64) & 0xFFFFFFFF).astype(np.uint32).view(np.float32)
+    # Integer casts wrap modulo 2**32 without a warning.
+    return np.asarray(bits).astype(np.uint32).view(np.float32)
 
 
 def mul_binary32_batch(

@@ -20,7 +20,6 @@ from .codec import (
     decode,
     float_to_bits32,
     from_binary32,
-    to_binary64,
 )
 from .formats import (
     SWEEP_WIDTHS,
@@ -163,10 +162,9 @@ def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
         )
     if not args.json:
         print(f"{'format':>12}{'fraction':>10}{'scale range':>14}")
-        for row in report["results"]:
-            fmt_text = "({},{},{})".format(*row["format"])
+        for fmt, row in zip(rows, report["results"]):
             scales = f"[{row['min_scale']}, {row['max_scale']}]"
-            print(f"{fmt_text:>12}{row['fraction_bits']:>10}{scales:>14}")
+            print(f"{str(fmt):>12}{row['fraction_bits']:>10}{scales:>14}")
         print(f"{len(rows)} configuration(s)")
 
 
@@ -175,7 +173,8 @@ def _describe_word(word: PositWord) -> dict:
     entry = {
         "word_hex": str(word),
         "class": d.klass.value,
-        "value": None if d.is_nar else to_binary64(word),
+        # The nearest binary64: a word with more than 52 fraction bits may not be one.
+        "value": None if d.is_nar else float(d.exact_value()),
     }
     if not (d.is_zero or d.is_nar):
         entry.update(
@@ -236,28 +235,23 @@ def cmd_sweep(args: argparse.Namespace, report: dict) -> None:
         report["results"].append(entry)
     if not args.json:
         print(f"{'format':>12} {'max rel err %':>16} {'mean rel err %':>16}")
-        for entry in report["results"]:
-            n, es, rs = entry["format"]
+        for fmt, entry in zip(formats, report["results"]):
             print(
-                f"({n},{es},{rs})".rjust(12)
+                str(fmt).rjust(12)
                 + f"{entry['max_rel_err_pct']:>17.6g}"
                 + f"{entry['mean_rel_err_pct']:>17.6g}"
             )
 
 
 def cmd_workload(args: argparse.Namespace, report: dict) -> None:
-    if args.sweep_widths:
-        formats: list[FixedPositFormat | None] = [
-            FixedPositFormat(width, 6, 2) for width in SWEEP_WIDTHS
-        ]
-    else:
-        formats = [None if args.fmt == "reference" else args.fmt]
+    # args.fmt is a format or "reference", the run with native multiplies.
+    formats = [args.fmt] if args.fmt else [FixedPositFormat(w, 6, 2) for w in SWEEP_WIDTHS]
     image = read_pgm(args.image) if args.image else None
     report["workload"] = args.name
     for fmt in formats:
         result, trace = run_workload(
             args.name,
-            fmt,
+            None if fmt == "reference" else fmt,
             size=args.size,
             seed=args.seed,
             record_trace=bool(args.trace_out),
@@ -276,14 +270,9 @@ def cmd_workload(args: argparse.Namespace, report: dict) -> None:
             entry["trace_len"] = len(trace)
     if not args.json:
         print(f"{'format':>12} {'metric':>18} {'quality':>14} {'muls':>10}")
-        for entry in report["results"]:
-            fmt_text = (
-                "reference"
-                if entry["format"] == "reference"
-                else "({},{},{})".format(*entry["format"])
-            )
+        for fmt, entry in zip(formats, report["results"]):
             print(
-                fmt_text.rjust(12)
+                str(fmt).rjust(12)
                 + entry["primary_metric"].rjust(19)
                 + f"{entry['quality']:>15.6g}"
                 + f"{entry['mul_count']:>11}"
@@ -386,7 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
         if args.json:
             print(json.dumps(report, indent=2))
-    except (ValueError, OSError) as exc:  # OSError includes a closed output pipe
+    # OSError includes a closed output pipe; MemoryError, an array too large to allocate.
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -104,10 +104,9 @@ def sweep_conversion_error(
 ) -> ErrorReport:
     """Round-trip binary32 samples through ``fmt`` and aggregate the error.
 
-    Samples are drawn once from the seeded generator, converted to the
-    format and back to binary64, and compared against the exact sampled
-    values.  Aggregation is max/sum based, so chunked or parallel evaluation
-    would merge to the same report.
+    Samples are drawn at once from the seeded generator, converted to the
+    format and back to binary64 in one pass, and compared against the exact
+    sampled values, so a given seed always gives the same report.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be positive, got {sample_count}")

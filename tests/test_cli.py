@@ -397,3 +397,37 @@ def test_text_output_default(capsys):
     assert code == 0
     assert "(32,6,2)" in out
     assert "5 configuration(s)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("sweep", "--fmt", "18,6,2", "--samples", str(10**15)), "7.11 PiB"),
+        (("workload", "--name", "dot", "--fmt", "18,6,2", "--size", str(10**8)), "71.1 PiB"),
+    ],
+    ids=["sweep", "workload"],
+)
+def test_refused_allocation_is_one_error_line(capsys, argv, size):
+    # Each request is far past a 64-bit user address space (128 TiB), so NumPy
+    # is refused before it touches a page.
+    error = run_error(capsys, *argv)
+    assert error.startswith(f"error: Unable to allocate {size}")
+
+
+@pytest.mark.parametrize(
+    "argv, word_hex, value",
+    [
+        (("convert", "--fmt", "64,0,1", "--value", "1e30"), "0x7fffffffffffffff", 2.0),
+        (("mul", "--fmt", "64,0,1", "--a", "1.5", "--b", "1.5"), "0x7fffffffffffffff", 2.0),
+        (("convert", "--fmt", "60,2,2", "--value", "0x3f800001"), "0x400000100000000", 1 + 2**-23),
+    ],
+    ids=["convert", "mul", "convert-exact"],
+)
+def test_value_is_the_nearest_binary64_past_52_fraction_bits(capsys, argv, word_hex, value):
+    # (64,0,1)'s maxpos, 2 - 2**-62, is not a binary64 value; its nearest is 2.0.
+    # A word that is one, such as binary32's 1 + 2**-23, keeps its exact value.
+    entry = run_json(capsys, *argv)["results"][0]
+    entry = entry.get("result", entry)
+    assert (entry["word_hex"], entry["value"]) == (word_hex, value)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[0].endswith(f"{word_hex}  ({value})")

@@ -38,3 +38,9 @@ def test_readme_library_quick_start_runs(capsys):
     exec(compile(section_code("Library quick start", "python"), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1.0"
+
+
+def test_readme_example_sweep_output_is_the_cli_output(capsys):
+    block = README.read_text().split("Example sweep output:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert main(["sweep", "--fmt", "32,3,16"]) == 0
+    assert capsys.readouterr().out == block
