@@ -437,21 +437,20 @@ def test_output_nan_is_canonical_whatever_nan_the_product_carries(monkeypatch):
     assert out.view(np.uint32).tolist() == [0x7FC00000] * 3 + [0x3F800000]
 
 
-@pytest.mark.parametrize(
-    "name", ["from_binary32_batch", "to_binary64_batch", "to_binary32_batch", "mul_batch",
-             "mul_float32_batch", "mul_binary32_batch"],
-)
+# Each call would run without the width gate: (33,6,2) has 24 fraction bits.
+F3362 = FixedPositFormat(33, 6, 2)
+WIDE_BITS = np.array([0, 0x3F800000, 0x40400000], np.int64)
+WIDE_CALLS = {
+    "from_binary32_batch": (WIDE_BITS, F3362),
+    "to_binary64_batch": (WIDE_BITS, F3362),
+    "to_binary32_batch": (WIDE_BITS, F3362),
+    "mul_batch": (WIDE_BITS, WIDE_BITS, F3362),
+    "mul_float32_batch": (F3362, WIDE_BITS.astype(np.uint32).view(np.float32), np.float32(2.0)),
+    "mul_binary32_batch": (F3362, WIDE_BITS, WIDE_BITS),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_CALLS)
 def test_every_batch_entry_point_rejects_words_wider_than_32_bits(name):
-    # Each call would run without the gate: (33,6,2) has 24 fraction bits.
-    fmt = FixedPositFormat(33, 6, 2)
-    bits = np.array([0, 0x3F800000, 0x40400000], np.int64)
-    args = {
-        "from_binary32_batch": (bits, fmt),
-        "to_binary64_batch": (bits, fmt),
-        "to_binary32_batch": (bits, fmt),
-        "mul_batch": (bits, bits, fmt),
-        "mul_float32_batch": (fmt, bits.astype(np.uint32).view(np.float32), np.float32(2.0)),
-        "mul_binary32_batch": (fmt, bits, bits),
-    }[name]
     with pytest.raises(ValueError, match=r"at most 32-bit words, got \(33,6,2\)"):
-        getattr(batch, name)(*args)
+        getattr(batch, name)(*WIDE_CALLS[name])
