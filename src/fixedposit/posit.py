@@ -3,15 +3,16 @@
 Used as the comparison baseline for fixed-posit: same special values, same
 two's-complement negatives, but a variable-length regime terminated by an
 opposite bit.  When the regime squeezes out exponent bits, the surviving
-bits are the high-order bits of the exponent (low bits read as zero).  A
-magnitude whose post-sign bits are all identical has no terminator; its run
-counts as n-2 bits and the last bit is data.  The binary32 bridge and the
-exact multiply (``exact_mul``) come from ``codec``, shared with fixed-posit.
+bits are the high-order bits of the exponent (low bits read as zero).  A run
+that fills the body has no terminator, so maxpos is ``useed**(n-2)`` and
+minpos is its reciprocal.  The encoder rounds on the bit string, as the posit
+standard does: the exact body is rounded once to n-1 bits, ties to the even
+pattern, so a nonzero value never rounds to zero or past maxpos.  The
+binary32 bridge and the exact multiply (``exact_mul``) come from ``codec``,
+shared with fixed-posit.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .codec import (
     DecodedNumber,
@@ -25,75 +26,30 @@ from .codec import (
 from .formats import PositFormat
 
 
-def _split_magnitude(body: int, fmt: PositFormat, sign: int = 1) -> DecodedNumber:
-    """The value of a positive body (all bits after the sign), with ``sign`` applied."""
-    n, es = fmt.n, fmt.es
-    width = n - 1
-    lead = (body >> (width - 1)) & 1
-    inverted = body ^ ((1 << width) - 1) if lead else body
-    run = width - inverted.bit_length()
-    if run == width:
-        m = width - 1  # unterminated run: cap it, the last bit stays data
-        consumed = width - 1
-    else:
-        m = run
-        consumed = run + 1
-    k = m - 1 if lead else -m
-    rest_len = width - consumed
-    rest = body & ((1 << rest_len) - 1)
-    e_take = min(es, rest_len)
-    exponent = (rest >> (rest_len - e_take)) << (es - e_take)
-    f_len = rest_len - e_take
-    significand = (1 << f_len) | (rest & ((1 << f_len) - 1))
-    return DecodedNumber(NumberClass.NORMAL, sign, (k << es) + exponent, significand, f_len)
-
-
 def posit_decode(w: PositWord) -> DecodedNumber:
     """Decode a standard posit word to its exact value."""
     fmt = w.fmt
     if not isinstance(fmt, PositFormat):
         raise TypeError(f"expected a posit word, got format {fmt}")
-    n = fmt.n
+    n, es = fmt.n, fmt.es
     bits = w.bits
     if bits == 0:
         return DecodedNumber.zero()
     if bits == 1 << (n - 1):
         return DecodedNumber.nar()
     sign = -1 if bits >> (n - 1) else 1
-    mag = (-bits) & ((1 << n) - 1) if sign < 0 else bits
-    return _split_magnitude(mag, fmt, sign)
-
-
-def _encode_nearest_body(value: Fraction, fmt: PositFormat) -> int:
-    """Largest-below / smallest-above search over the monotone positive bodies.
-
-    Handles the regime-truncation zone where field boundaries shift between
-    neighboring patterns; used only near the format's extremes.
-    """
-
-    def value_of(body: int) -> Fraction:
-        return _split_magnitude(body, fmt).exact_value()
-
-    lo, hi = 1, (1 << (fmt.n - 1)) - 1
-    if value >= value_of(hi):
-        return hi
-    if value <= value_of(lo):
-        return lo
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if value_of(mid) <= value:
-            lo = mid
-        else:
-            hi = mid - 1
-    below = value_of(lo)
-    if below == value:
-        return lo
-    above = value_of(lo + 1)
-    if value - below < above - value:
-        return lo
-    if above - value < value - below:
-        return lo + 1
-    return lo if lo % 2 == 0 else lo + 1  # tie: even pattern
+    body = (-bits) & ((1 << n) - 1) if sign < 0 else bits  # all bits after the sign
+    width = n - 1
+    lead = body >> (width - 1)
+    run = width - (body ^ ((1 << width) - 1) if lead else body).bit_length()
+    k = run - 1 if lead else -run
+    rest_len = max(width - run - 1, 0)  # bits after the terminator; a full run leaves none
+    rest = body & ((1 << rest_len) - 1)
+    e_take = min(es, rest_len)
+    exponent = (rest >> (rest_len - e_take)) << (es - e_take)
+    f_len = rest_len - e_take
+    significand = (1 << f_len) | (rest & ((1 << f_len) - 1))
+    return DecodedNumber(NumberClass.NORMAL, sign, (k << es) + exponent, significand, f_len)
 
 
 def posit_encode(
@@ -108,27 +64,21 @@ def posit_encode(
         raise TypeError(f"expected a posit format, got {fmt}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not (1 << significand_den_log2) <= significand_num < (2 << significand_den_log2):
+    num, den = significand_num, significand_den_log2
+    if not (1 << den) <= num < (2 << den):
         raise ValueError("significand must lie in [1, 2)")
     n, es = fmt.n, fmt.es
     width = n - 1
-    num, den = significand_num, significand_den_log2
-    while True:  # at most twice: after a carry the significand is exactly 1
-        k = scale >> es
-        exponent = scale - (k << es)
-        regime_len = k + 2 if k >= 0 else 1 - k
-        if regime_len + es > width:
-            # Exponent truncation zone: fall back to the exact search.
-            value = DecodedNumber(NumberClass.NORMAL, 1, scale, num, den).exact_value()
-            body = _encode_nearest_body(value, fmt)
-            break
-        f_avail = width - regime_len - es
-        sig = round_to_nearest_even(num, den - f_avail)
-        if sig < 2 << f_avail:
-            regime = (((1 << (k + 1)) - 1) << 1) if k >= 0 else 1
-            body = (regime << (es + f_avail)) | (exponent << f_avail) | (sig - (1 << f_avail))
-            break
-        scale, num, den = scale + 1, 1, 0  # carried out: re-split the scale and retry
+    k = scale >> es
+    if k >= n - 2:
+        body = (1 << width) - 1  # maxpos
+    elif k < 2 - n:
+        body = 1  # minpos
+    else:
+        # The exact body: regime run and terminator, es exponent bits, every fraction bit.
+        regime, regime_len = (((1 << (k + 1)) - 1) << 1, k + 2) if k >= 0 else (1, 1 - k)
+        exact = (((regime << es) | (scale - (k << es))) << den) | (num - (1 << den))
+        body = round_to_nearest_even(exact, regime_len + es + den - width)
     bits = body if sign > 0 else (-body) & ((1 << n) - 1)
     return PositWord(bits, fmt)
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from fixedposit import (
     posit_mul_binary32_bits,
     posit_to_binary32,
 )
+from fixedposit.codec import exact_mul
 
 P82 = PositFormat(8, 2)
 P326 = PositFormat(32, 6)
@@ -32,12 +34,12 @@ def test_decode_matches_fixed_posit_when_regime_fits():
     assert float(d.exact_value()) == 3.25
 
 
-def test_decode_unterminated_regime_keeps_last_bit_as_exponent():
-    # 0x7F: six leading ones count as the regime (k=5); the surviving bit is
-    # the high-order exponent bit, so e=2 and the value is 2**22.
+def test_decode_unterminated_regime_fills_the_body():
+    # 0x7F: seven ones fill the body, so k = 6 and no exponent or fraction
+    # bits remain: scale 24, value useed**6 = 2**24.
     d = posit_decode(PositWord(0x7F, P82))
-    assert (d.scale, d.significand, d.fraction_bits) == (22, 1, 0)
-    assert d.exact_value() == Fraction(1 << 22)
+    assert (d.scale, d.significand, d.fraction_bits) == (24, 1, 0)
+    assert d.exact_value() == Fraction(16) ** 6 == Fraction(1 << 24)
 
 
 def test_decode_specials():
@@ -225,3 +227,89 @@ def test_encode_decode_inverse_on_values(sign, scale, frac):
     requested = sign * Fraction((1 << 26) | frac, 1 << 26) * Fraction(2) ** scale
     err = abs(d.exact_value() - requested) / abs(requested)
     assert err <= Fraction(1, 1 << (d.fraction_bits + 1)) * (1 + Fraction(1, 1000))
+
+
+# The standard's value set and rounding rule, read off the decoder alone: an
+# n-bit word w is the (n+1)-bit word w << 1, and the odd (n+1)-bit words are
+# the midpoints the standard rounds against (Posit Working Group, "Standard
+# for Posit Arithmetic", 2022).
+SMALL_POSITS = [PositFormat(n, es) for n in range(3, 13) for es in range(min(4, n - 2) + 1)]
+
+
+def _value(bits, fmt):
+    d = posit_decode(PositWord(bits, fmt))
+    return "NaR" if d.is_nar else d.exact_value()
+
+
+def _posit_encode_fraction(value, fmt):
+    """posit_encode of a positive dyadic rational."""
+    num, den = value.numerator, value.denominator
+    assert den & (den - 1) == 0
+    top = num.bit_length() - 1
+    return posit_encode(1, top - (den.bit_length() - 1), num, top, fmt).bits
+
+
+def test_posit_5_1_values_are_the_2017_ring():
+    # Gustafson & Yonemoto, "Beating Floating Point at its Own Game" (2017).
+    want = [Fraction(1, 64), Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8),
+            Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2), 2, 3, 4, 8, 16, 64]
+    assert [_value(bits, PositFormat(5, 1)) for bits in range(1, 16)] == want
+
+
+@pytest.mark.parametrize("fmt", SMALL_POSITS, ids=str)
+def test_maxpos_is_useed_to_the_n_minus_2_and_one_over_minpos(fmt):
+    maxpos, minpos = _value((1 << (fmt.n - 1)) - 1, fmt), _value(1, fmt)
+    assert maxpos == Fraction(1 << (1 << fmt.es)) ** (fmt.n - 2)
+    assert maxpos * minpos == 1
+
+
+@pytest.mark.parametrize("fmt", [f for f in SMALL_POSITS if f.n <= 11], ids=str)
+def test_appending_a_zero_bit_keeps_every_value(fmt):
+    wide = PositFormat(fmt.n + 1, fmt.es)
+    for bits in range(1 << fmt.n):
+        assert _value(bits, fmt) == _value(bits << 1, wide), (fmt, bits)
+
+
+@pytest.mark.parametrize("fmt", [f for f in SMALL_POSITS if f.n <= 9], ids=str)
+def test_encode_rounds_against_the_wider_midpoint(fmt):
+    # Adjacent positive words u < w and the (n+1)-bit word v between them:
+    # v is a tie and goes to the even pattern, and either side of v goes to
+    # its own neighbour, also where the regime cuts exponent bits.
+    wide = PositFormat(fmt.n + 1, fmt.es)
+    for u_bits in range(1, (1 << (fmt.n - 1)) - 1):
+        w_bits = u_bits + 1
+        u, v, w = _value(u_bits, fmt), _value((u_bits << 1) | 1, wide), _value(w_bits, fmt)
+        assert u < v < w
+        assert _posit_encode_fraction(v, fmt) == (u_bits if u_bits % 2 == 0 else w_bits)
+        assert _posit_encode_fraction((u + v) / 2, fmt) == u_bits, (fmt, u_bits)
+        assert _posit_encode_fraction((v + w) / 2, fmt) == w_bits, (fmt, w_bits)
+
+
+@pytest.mark.parametrize("fmt", [PositFormat(8, 0), P82, PositFormat(7, 3)], ids=str)
+def test_exact_mul_rounds_like_the_standard(fmt):
+    # Every positive word times every nonzero, non-NaR word.  The expected
+    # word comes from the sorted (n+1)-bit values: a product goes to the
+    # nearer n-bit word on its side of the midpoint, a midpoint tie to the
+    # even pattern, and a product past maxpos or below minpos to that
+    # extreme, never to zero.
+    n = fmt.n
+    wide = PositFormat(n + 1, fmt.es)
+    wide_values = [_value(j, wide) for j in range(1, 1 << n)]  # word j at index j - 1
+
+    def standard_round(p):
+        j = bisect.bisect_left(wide_values, p) + 1  # the smallest (n+1)-bit word >= p
+        if j % 2:  # a midpoint: p is below it or a tie
+            j += 1 if wide_values[j - 1] == p and j % 4 == 3 else -1
+        return min(max(j >> 1, 1), (1 << (n - 1)) - 1)
+
+    values = {bits: _value(bits, fmt) for bits in range(1, 1 << n) if bits != 1 << (n - 1)}
+    pairs, wrong = 0, []
+    for a in range(1, 1 << (n - 1)):
+        for b, value in values.items():
+            p = values[a] * value
+            want = standard_round(abs(p)) if p > 0 else -standard_round(-p) & ((1 << n) - 1)
+            got = exact_mul(PositWord(a, fmt), PositWord(b, fmt), posit_decode, posit_encode)
+            pairs += 1
+            if got.bits != want:
+                wrong.append((a, b))
+    assert not wrong, f"{len(wrong)} of {pairs} products misrounded, first {wrong[:3]}"
