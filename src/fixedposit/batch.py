@@ -73,6 +73,7 @@ class _Constants(NamedTuple):
     zero: np.uint64  # zero's bits less ``low``, wrapped round
     minpos: float
     maxpos: float
+    overflows32: bool  # maxpos rounds to inf in binary32, so the product's cast can overflow
     regimes: np.ndarray  # regime fields for k = -rs .. rs-1, shifted into place
 
 
@@ -92,6 +93,8 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
     regimes = np.array([(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
                         for k in range(-rs, rs)], _I64) << (es + f)
     regimes.flags.writeable = False  # every caller shares it
+    with np.errstate(over="ignore"):
+        overflows32 = bool(np.isinf(np.float32(maxpos)))
     return _Constants(
         drop=np.uint64(drop),
         half=np.uint64((1 << (drop - 1)) - 1),
@@ -101,6 +104,7 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
         zero=np.uint64((1 << 64) - int(low)),
         minpos=math.ldexp(1.0 + 2.0**-f, lo),
         maxpos=maxpos,
+        overflows32=overflows32,
         regimes=regimes,
     )
 
@@ -166,7 +170,8 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     exact.
     """
     shape = np.shape(words)
-    w = np.asarray(words).astype(_I64).reshape(-1)  # on 0-d input the ufuncs would give scalars
+    # Not copied when already int64; 1-d, since on 0-d input the ufuncs would give scalars.
+    w = np.asarray(words).astype(_I64, copy=False).reshape(-1)
     signed, scale, significand = _fields(w, fmt)
     scale -= fmt.fraction_bits
     with np.errstate(over="ignore"):
@@ -288,8 +293,12 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
     # Writing into an operand of the full shape, when there is one, saves an array.
     full = qa if qa.shape == shape else qb if qb.shape == shape else None
     product = np.multiply(qa, qb, out=full).reshape(-1)
-    rare = _round_and_clamp(product, _constants(fmt))
-    with np.errstate(over="ignore"):
+    c = _constants(fmt)
+    rare = _round_and_clamp(product, c)
+    if c.overflows32:  # entering errstate costs about a microsecond, so only where it is needed
+        with np.errstate(over="ignore"):
+            out = product.astype(np.float32)
+    else:
         out = product.astype(np.float32)
     if rare:  # NaN sign and payload vary by platform
         out.view(np.uint32)[np.isnan(out)] = _QNAN32
@@ -298,7 +307,7 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
 
 def _bits_to_float32(bits: np.ndarray) -> np.ndarray:
     # Integer casts wrap modulo 2**32 without a warning.
-    return np.asarray(bits).astype(np.uint32).view(np.float32)
+    return np.asarray(bits).astype(np.uint32, copy=False).view(np.float32)
 
 
 def mul_binary32_batch(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +98,15 @@ def _sample_binary32(
     raise ValueError(f"unknown distribution {distribution!r}; pick one of {DISTRIBUTIONS}")
 
 
+@functools.lru_cache(maxsize=1)
+def _draw(sample_count: int, seed: int, distribution: str) -> np.ndarray:
+    """The seeded samples as a read-only float32 array, shared by every caller."""
+    bits = _sample_binary32(np.random.default_rng(seed), sample_count, distribution)
+    x32 = bits.astype(np.uint32).view(np.float32)
+    x32.flags.writeable = False
+    return x32
+
+
 def sweep_conversion_error(
     fmt: FixedPositFormat,
     sample_count: int,
@@ -106,12 +117,15 @@ def sweep_conversion_error(
 
     Samples are drawn at once from the seeded generator, converted to the
     format and back to binary64 in one pass, and compared against the exact
-    sampled values, so a given seed always gives the same report.
+    sampled values, so a given seed always gives the same report.  A sweep
+    over many formats uses the same samples for each, so the last draw of an
+    integer seed is held, read-only, at 4 bytes per sample, until a call with
+    another count, seed or distribution replaces it.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be positive, got {sample_count}")
-    rng = np.random.default_rng(seed)
-    bits = _sample_binary32(rng, sample_count, distribution)
-    reference = bits.astype(np.uint32).view(np.float32).astype(np.float64)
-    roundtrip = to_binary64_batch(from_binary32_batch(bits, fmt), fmt)
-    return error_report(reference, roundtrip)
+    # Any other seed (None, a generator) gives a fresh draw on every call.
+    draw = _draw if isinstance(seed, numbers.Integral) else _draw.__wrapped__
+    x32 = draw(sample_count, seed, distribution)
+    roundtrip = to_binary64_batch(from_binary32_batch(x32.view(np.uint32), fmt), fmt)
+    return error_report(x32.astype(np.float64), roundtrip)

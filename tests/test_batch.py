@@ -8,6 +8,7 @@ three bit-identical.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,6 +206,43 @@ def test_special_operands_multiply_without_warnings(fmt):
     bits = ops.view(np.uint32)
     expected = [[mul_binary32_bits(fmt, int(a), int(b)) for b in bits] for a in bits]
     assert np.array_equal(out.view(np.uint32), np.array(expected, np.uint32))
+
+
+def binary32_overflow(fmt: FixedPositFormat) -> bool:
+    """Whether maxpos rounds to infinity in binary32: it reaches the midpoint 2**128 - 2**103."""
+    f, hi = fmt.fraction_bits, scale_range(fmt).max_scale
+    return Fraction(2 ** (f + 1) - 1) * Fraction(2) ** (hi - f) >= 2**128 - 2**103
+
+
+@pytest.mark.parametrize(
+    "fmt", PINNED_32BIT_FORMATS + all_fixed_formats(10) + [FixedPositFormat(16, 8, 1)], ids=str
+)
+def test_product_cast_overflows_only_where_maxpos_passes_binary32(fmt):
+    # Only formats whose maxpos rounds to infinity, such as (16,8,1), enter
+    # np.errstate for the product's cast.  Under warnings as errors those must
+    # still overflow to infinity quietly, and the others must never overflow.
+    assert batch._constants(fmt).overflows32 == binary32_overflow(fmt)
+    big = np.array([np.finfo(np.float32).max, 2.0**64, 1.5], np.float32)
+    ops = np.concatenate([big, -big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = batch.mul_float32_batch(fmt, ops[:, None], ops[None, :])
+    assert np.array_equal(out.view(np.uint32), scalar_products(fmt, ops[:, None], ops[None, :]))
+    assert np.isinf(out).any() == binary32_overflow(fmt)  # the largest products saturate to maxpos
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_batch_functions_only_read_their_inputs(dtype):
+    bits = edge_operands(F1862).astype(dtype)
+    words = batch.from_binary32_batch(bits, F1862).astype(dtype)
+    expected = (batch.from_binary32_batch(bits, F1862), batch.to_binary64_batch(words, F1862),
+                batch.mul_binary32_batch(F1862, bits, bits[::-1]))
+    kept = bits.copy(), words.copy()
+    bits.flags.writeable = words.flags.writeable = False
+    got = (batch.from_binary32_batch(bits, F1862), batch.to_binary64_batch(words, F1862),
+           batch.mul_binary32_batch(F1862, bits, bits[::-1]))
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+    assert np.array_equal(bits, kept[0]) and np.array_equal(words, kept[1])
 
 
 def test_scalar_operands_give_0d_results():

@@ -14,6 +14,7 @@ from fixedposit import (
     rmse,
     sweep_conversion_error,
 )
+from fixedposit import batch, metrics
 
 
 def one_rel_err_pct(reference: float, approximation: float) -> float:
@@ -162,3 +163,56 @@ def test_uniform_real_sweep_reaches_top_end_saturation():
     fmt = FixedPositFormat(22, 3, 16)  # 2 fraction bits; maxpos is 1.75 * 2**127
     report = sweep_conversion_error(fmt, 20_000, 67, "uniform-real")
     assert report.max_rel_err_pct > 100.0 * 2.0**-3 / (1 + 2.0**-3)  # beyond rounding's worst case
+
+
+def sweep_through_int64_bits(fmt, sample_count, seed, distribution):
+    """The sweep as it was composed before its draws were held: int64 bits, drawn per call."""
+    bits = metrics._sample_binary32(np.random.default_rng(seed), sample_count, distribution)
+    reference = bits.astype(np.uint32).view(np.float32).astype(np.float64)
+    words = batch.from_binary32_batch(bits, fmt)
+    return error_report(reference, batch.to_binary64_batch(words, fmt))
+
+
+@pytest.mark.parametrize("distribution", ["log-uniform", "uniform-real"])
+@pytest.mark.parametrize("triple", [(18, 6, 2), (32, 3, 16), (12, 2, 3)])
+def test_sweep_equals_the_int64_bits_round_trip(triple, distribution):
+    fmt = FixedPositFormat(*triple)
+    expected = sweep_through_int64_bits(fmt, 20_000, 5, distribution)
+    assert sweep_conversion_error(fmt, 20_000, 5, distribution) == expected
+
+
+def test_interleaved_sweeps_match_the_same_sweeps_in_isolation():
+    fmt = FixedPositFormat(18, 6, 2)
+    calls = [(count, seed, dist) for seed in (3, 4) for count in (1_000, 3_000)
+             for dist in ("log-uniform", "uniform-real")]
+    isolated = []
+    for call in calls:
+        metrics._draw.cache_clear()
+        isolated.append(sweep_conversion_error(fmt, *call))
+    interleaved = [sweep_conversion_error(fmt, *call) for call in calls + calls[::-1]]
+    assert interleaved == isolated + isolated[::-1]
+    assert len(set(isolated)) == len(calls)
+
+
+def test_held_draw_is_read_only():
+    sweep_conversion_error(FixedPositFormat(18, 6, 2), 1_000, 7)
+    x32 = metrics._draw(1_000, 7, "log-uniform")
+    assert metrics._draw.cache_info().hits >= 1
+    assert x32.dtype == np.float32 and x32.nbytes == 4_000
+    assert not x32.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x32[0] = 1.0
+
+
+def test_numpy_integer_seed_gives_the_same_report():
+    fmt = FixedPositFormat(24, 5, 4)
+    assert sweep_conversion_error(fmt, 2_000, np.int64(9)) == sweep_conversion_error(fmt, 2_000, 9)
+    metrics._draw.cache_clear()
+    assert sweep_conversion_error(fmt, 2_000, 9) == sweep_conversion_error(fmt, 2_000, np.int64(9))
+
+
+def test_seeds_that_are_not_integers_draw_afresh():
+    fmt = FixedPositFormat(18, 6, 2)
+    assert sweep_conversion_error(fmt, 1_000, None) != sweep_conversion_error(fmt, 1_000, None)
+    rng = np.random.default_rng(1)
+    assert sweep_conversion_error(fmt, 1_000, rng) != sweep_conversion_error(fmt, 1_000, rng)

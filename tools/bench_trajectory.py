@@ -19,7 +19,10 @@ sees, from the same exports and again alternating sides: the substituted
 run's ``elapsed_s`` of each kernel at its default size and (18,6,2), and the
 ``wall_time_s`` of ``sweep --all-paper-widths``, each the minimum of
 ``REPEATS`` runs, with the runs behind it in run order
-(``kernel_elapsed_runs_s``, ``sweep_all_paper_widths_runs_s``); and the wall
+(``kernel_elapsed_runs_s``, ``sweep_all_paper_widths_runs_s``); each sweep
+run's whole process, start-up included, also gives its minor page faults and
+system CPU seconds (``sweep_all_paper_widths_runs_minflt``,
+``sweep_all_paper_widths_runs_sys_s``, ``RUSAGE_CHILDREN`` deltas); and the wall
 time and summary line of one tier-1 run
 (``python3 -m pytest -q --continue-on-collection-errors``).  A single
 kernel's figure is not evidence of a gain: a ~15 ms kernel's time can be
@@ -34,6 +37,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -93,17 +97,24 @@ def application_figures(sides: dict[str, Path]) -> dict[str, dict]:
             for name in KERNELS:
                 argv = ["workload", "--name", name, "--fmt", SUBSTITUTED_FMT]
                 kernels[side][name].append(cli_report(checkout, argv)["results"][0]["elapsed_s"])
-            sweep[side].append(cli_report(checkout, ["sweep", "--all-paper-widths"])["wall_time_s"])
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
+            wall_s = cli_report(checkout, ["sweep", "--all-paper-widths"])["wall_time_s"]
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            sweep[side].append((wall_s, after.ru_minflt - before.ru_minflt,
+                                round(after.ru_stime - before.ru_stime, 3)))
     figures = {}
     for side, checkout in sides.items():
+        walls, minflts, sys_s = (list(column) for column in zip(*sweep[side]))
         started = time.perf_counter()
         tier1 = run_in(checkout, ["-m", "pytest", "-q", "--continue-on-collection-errors"])
         lines = tier1.stdout.strip().splitlines()
         figures[side] = {
             "kernel_elapsed_s": {name: min(runs) for name, runs in kernels[side].items()},
             "kernel_elapsed_runs_s": kernels[side],
-            "sweep_all_paper_widths_s": min(sweep[side]),
-            "sweep_all_paper_widths_runs_s": sweep[side],
+            "sweep_all_paper_widths_s": min(walls),
+            "sweep_all_paper_widths_runs_s": walls,
+            "sweep_all_paper_widths_runs_minflt": minflts,
+            "sweep_all_paper_widths_runs_sys_s": sys_s,
             "tier1_wall_s": round(time.perf_counter() - started, 3),
             "tier1_exit_code": tier1.returncode,
             "tier1_summary": lines[-1] if lines else "",
