@@ -16,15 +16,33 @@ magnitude within ``2**+-260``, so it is a binary64 normal; ``Q`` of it keeps
 binary32 is then the one correct rounding ``to_binary32`` performs,
 subnormal outputs and overflow to infinity included.
 
-An ordinary lane pays only for widening, rounding and one range test per
-stage: an unsigned compare on the binary32 bits finds the zero, subnormal,
-infinite and NaN operands, and one on the rounded magnitude's bits finds
-every value outside ``(2**min_scale, maxpos]``.  The fix-ups (flush, NaN,
-clamp, nudge, ``+0``, NaN canonicalisation) run only on calls that have such
-a lane, so a small call costs about as much as its fixed NumPy calls.  Each
-format's constants are computed once, by ``_constants``.  ``_quantize``
-rounds a 1-d binary64 array in place; callers flatten first, since on a 0-d
-array the in-place ufuncs would return scalars.
+For formats with ``f <= 11`` whose window ends by ``2**127`` (15 of the 38
+paper formats, (18,6,2) among them) the same steps run in binary32, with no
+widening and no final cast.  ``Q(a)`` and ``Q(b)`` are binary32 values: at
+most ``f + 1 <= 12`` significant bits, and maxpos is finite.  Their product
+has at most ``2f + 2 <= 24`` bits, since ``(2**12 - 1)**2 < 2**24``, so
+wherever it lands in binary32's normal range the binary32 multiply is exact
+and ``Q`` of it is ``Q`` of the exact product.  A product below ``2**-126``
+may have been rounded as a subnormal, and one past binary32's range has
+overflowed, so the product's range test uses the low bound
+``max(2**min_scale + 1 ulp, 2**-126)``.  When no lane is rare the rounded
+binary32 product is the result; its lanes lie in ``(2**min_scale,
+maxpos]`` and need no cast.  A call with any rare lane widens its quantised
+operands, which is exact, and takes the binary64 product instead; a call
+whose operands already had a rare lane goes there before multiplying.  The
+operand flush reads the unrounded bits, because rounding first would carry a
+subnormal such as ``0x807FFFFF`` into the normal ``-2**-126``.
+
+An ordinary lane pays only for rounding and one range test per stage: an
+unsigned compare on the binary32 bits finds the zero, subnormal, infinite
+and NaN operands, and one on the rounded magnitude's bits finds every value
+outside ``(2**min_scale, maxpos]``.  The fix-ups (flush, NaN, clamp, nudge,
+``+0``, NaN canonicalisation) run only on calls that have such a lane, so a
+small call costs about as much as its fixed NumPy calls.  Each format's
+constants, for binary64 and, where it is exact, binary32, are computed once,
+by ``_constants``.  ``_round_and_clamp`` rounds a 1-d array in place,
+viewing it as the unsigned integer of its own width; callers flatten first,
+since on a 0-d array the in-place ufuncs would return scalars.
 
 *Conversions* (``from_binary32_batch``, ``to_binary64_batch``,
 ``to_binary32_batch``), used by the sweeps.  The encode packs the value
@@ -34,14 +52,15 @@ fields with the same array passes for every format.
 
 *Word-level multiply* (``mul_batch``).  A mirror of ``mul_datapath`` over
 int64 word patterns, pinned to it exhaustively.  It takes the value path's
-steps: round as ``_quantize`` does, clamp to [minpos, maxpos], pack.  With
-the scalar codec it is the reference the value path is tested against.
+steps: round as ``_round_and_clamp`` does, clamp to [minpos, maxpos], pack.
+With the scalar codec it is the reference the value path is tested against.
 
 Every function here is pinned to the scalar functions by exhaustive
 small-width and sampled 32-bit equivalence tests.  The int64 word carrier
 limits batch formats to n <= 32 (plenty for every stock configuration).
 ``_constants`` holds that width gate, and every public function reaches it:
-the value path through ``_quantize``, the word decode through ``_fields``.
+the value path through ``_quantized_operand``, the word decode through
+``_fields``.
 """
 
 from __future__ import annotations
@@ -58,19 +77,49 @@ _I64 = np.int64
 _QNAN32 = 0x7FC00000  # NaR as binary32
 
 
-def _f64_bits(value: float) -> np.uint64:
-    return np.float64(value).view(np.uint64)
+class _Rounding(NamedTuple):
+    """What ``_round_and_clamp`` needs of one float width, as unsigned scalars of that width."""
+
+    drop: np.unsignedinteger  # fraction bits below the format's f
+    half: np.unsignedinteger  # half an ulp less one, at the last kept bit
+    keep: np.unsignedinteger  # clears the dropped bits
+    magnitude: np.unsignedinteger  # clears the sign bit
+    low: np.unsignedinteger  # bits of the smallest magnitude in range
+    span: np.unsignedinteger  # maxpos's bits less ``low``
+    zero: np.unsignedinteger  # zero's bits less ``low``, wrapped round
+
+
+def _rounding(float_type: type, f: int, lo: int, maxpos: float) -> _Rounding:
+    """``_round_and_clamp``'s constants for ``float_type`` values at ``f`` fraction bits.
+
+    The range is (2**lo, maxpos], cut below at the smallest normal: a product
+    under it may already have been rounded, so only the fallback may clamp it.
+    """
+    info = np.finfo(float_type)
+    uint = np.dtype(f"u{info.dtype.itemsize}").type
+    width = 8 * info.dtype.itemsize
+    drop = info.nmant - f
+
+    def bits(value: float) -> np.unsignedinteger:
+        return float_type(value).view(uint)
+
+    low = max(bits(math.ldexp(1.0, lo)) + uint(1), bits(info.smallest_normal))
+    return _Rounding(
+        drop=uint(drop),
+        half=uint((1 << (drop - 1)) - 1),
+        keep=~uint((1 << drop) - 1),
+        magnitude=uint((1 << (width - 1)) - 1),
+        low=low,
+        span=bits(maxpos) - low,
+        zero=uint((1 << width) - int(low)),
+    )
 
 
 class _Constants(NamedTuple):
     """What the value path and ``_pack`` need of one format, as NumPy scalars."""
 
-    drop: np.uint64  # binary64 fraction bits below the format's f
-    half: np.uint64  # half an ulp less one, at the last kept bit
-    keep: np.uint64  # clears the dropped bits
-    low: np.uint64  # bits of the smallest magnitude in range, the one above 2**min_scale
-    span: np.uint64  # maxpos's bits less ``low``
-    zero: np.uint64  # zero's bits less ``low``, wrapped round
+    wide: _Rounding  # binary64
+    narrow: _Rounding | None  # binary32, for formats whose products it holds exactly
     minpos: float
     maxpos: float
     overflows32: bool  # maxpos rounds to inf in binary32, so the product's cast can overflow
@@ -82,26 +131,23 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
     if fmt.n > 32:
         raise ValueError(f"batch codec carries at most 32-bit words, got {fmt}")
     es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
-    drop = 52 - f
     rng = scale_range(fmt)
     # Values reaching the value path lie within 2**+-260, so a window wider than
     # 2**+-1000 saturates nothing; clamping keeps its bounds finite.
     lo, hi = max(rng.min_scale, -1000), min(rng.max_scale, 1000)
     maxpos = math.ldexp(2.0 - 2.0**-f, hi)
-    low = _f64_bits(math.ldexp(1.0, lo)) + np.uint64(1)
     # Regime fields: -k zeros then ones, or k+1 ones then zeros.
     regimes = np.array([(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
                         for k in range(-rs, rs)], _I64) << (es + f)
     regimes.flags.writeable = False  # every caller shares it
     with np.errstate(over="ignore"):
         overflows32 = bool(np.isinf(np.float32(maxpos)))
+    # Two (f+1)-bit significands multiply to at most 24 bits, which binary32
+    # holds, when f <= 11; maxpos is finite there when the window ends by 2**127.
+    exact32 = f <= 11 and rng.max_scale <= 127
     return _Constants(
-        drop=np.uint64(drop),
-        half=np.uint64((1 << (drop - 1)) - 1),
-        keep=~np.uint64((1 << drop) - 1),
-        low=low,
-        span=_f64_bits(maxpos) - low,
-        zero=np.uint64((1 << 64) - int(low)),
+        wide=_rounding(np.float64, f, lo, maxpos),
+        narrow=_rounding(np.float32, f, lo, maxpos) if exact32 else None,
         minpos=math.ldexp(1.0 + 2.0**-f, lo),
         maxpos=maxpos,
         overflows32=overflows32,
@@ -210,8 +256,8 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     product += ((product >> drop) & 1) + (1 << (drop - 1)) - 1
     product >>= drop  # the significand, or 2**(f+1) after a rounding carry
     # (scale, fraction) as one number, scale * 2**f + fraction, so that a rounding
-    # carry bumps the scale.  Its clamp is _quantize's [minpos, maxpos], which
-    # leaves out (min_scale, 0), the zero word.
+    # carry bumps the scale.  Its clamp is _round_and_clamp's [minpos, maxpos],
+    # which leaves out (min_scale, 0), the zero word.
     pair = ((scale_a + scale_b + carry - 1) << f) + product
     rng = scale_range(fmt)
     pair = np.clip(pair, (rng.min_scale << f) + 1, ((rng.max_scale + 1) << f) - 1)
@@ -222,50 +268,49 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     return np.where((a == nar) | (b == nar), nar, words)
 
 
-def _quantize(x: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Round a 1-d array of finite or NaN binary64 values to the nearest value of ``fmt``.
-
-    Rounds in place and returns ``x``.  Ties go to even.  Magnitudes past the largest value
-    saturate to it, nonzero magnitudes at or below ``2**min_scale`` become
-    the smallest, and zeros become +0.
-    """
-    _round_and_clamp(x, _constants(fmt))
-    return x
-
-
 def _round_and_clamp(x: np.ndarray, c: _Constants) -> int:
-    """``_quantize`` of a 1-d ``x`` in place; returns how many lanes were rare.
+    """Round a 1-d array of finite or NaN values to the nearest value of the format, in place.
 
-    A lane is rare when its rounded magnitude lies outside
-    (2**min_scale, maxpos]: a zero, an underflow, an overflow or a NaN.
-    Only rare lanes are clamped.
+    ``x`` is binary64, or binary32 for a format with binary32 constants.
+    Ties go to even.  Magnitudes past the largest value saturate to it,
+    nonzero magnitudes at or below ``2**min_scale`` become the smallest, and
+    zeros become +0.  Returns how many lanes were rare: those whose rounded
+    magnitude lies outside (2**min_scale, maxpos], or, in binary32, below
+    the smallest normal.  Only rare lanes are clamped.
     """
-    bits = x.view(np.uint64)
+    r = c.wide if x.itemsize == 8 else c.narrow
+    bits = x.view(r.keep.dtype)
     # Adding half an ulp less one, plus the kept lsb, then truncating is RNE;
     # a carry into the exponent field is the correct rounding up.
-    step = bits >> c.drop
-    step &= np.uint64(1)
-    step += c.half
+    step = bits >> r.drop
+    step &= bits.dtype.type(1)
+    step += r.half
     bits += step
-    bits &= c.keep
+    bits &= r.keep
     # One unsigned compare finds the rare lanes: magnitudes below ``low`` wrap
     # round to the top.  It reuses the rounding buffer.
-    offset = np.bitwise_and(bits, np.uint64(0x7FFF_FFFF_FFFF_FFFF), out=step)
-    offset -= c.low
-    rare = offset > c.span
+    offset = np.bitwise_and(bits, r.magnitude, out=step)
+    offset -= r.low
+    rare = offset > r.span
     count = np.count_nonzero(rare)
     if count:
         # NaNs stay, zeros become +0 (word 0 is +0, never -0), overflows saturate.
         np.clip(x, -c.maxpos, c.maxpos, out=x)
         x += 0.0
-        under = offset > c.zero  # nonzero magnitudes at or below 2**min_scale wrap past zero
+        under = offset > r.zero  # nonzero magnitudes below ``low`` wrap past zero
         if np.count_nonzero(under):
             np.copysign(c.minpos, x, out=x, where=under)
     return count
 
 
-def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
-    """Binary64 value of ``from_binary32`` of each binary32 operand; NaR is NaN."""
+def _quantized_operand(
+    x32: np.ndarray, fmt: FixedPositFormat, dtype: type
+) -> tuple[np.ndarray, int]:
+    """``from_binary32`` of each binary32 operand as 1-d ``dtype`` values, and how many are rare.
+
+    NaR is NaN.  The flush runs on the unrounded bits: rounded first, the
+    subnormal ``0x807FFFFF`` would become the normal ``-2**-126``.
+    """
     flat = x32.reshape(-1)
     # One unsigned compare finds the rare lanes: zeros and subnormals, whose
     # offset wraps round to the top, and infinities and NaNs.
@@ -274,10 +319,16 @@ def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     rare = offset > np.uint32(0x7F7FFFFF - 0x00800000)
     if np.count_nonzero(rare):
         # Zeros and subnormals flush to +0; infinities and NaNs become one quiet
-        # NaN, so no signalling NaN reaches the widening cast.
+        # NaN, so no signalling NaN reaches a cast.
         fixed = np.where(offset < np.uint32(1 << 31), np.uint32(_QNAN32), np.uint32(0))
         flat = np.where(rare, fixed, flat.view(np.uint32)).view(np.float32)
-    return _quantize(flat.astype(np.float64), fmt).reshape(x32.shape)
+    values = flat.astype(dtype)  # a copy, which is rounded in place
+    return values, _round_and_clamp(values, _constants(fmt))
+
+
+def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
+    """Binary64 value of ``from_binary32`` of each binary32 operand; NaR is NaN."""
+    return _quantized_operand(x32, fmt, np.float64)[0].reshape(x32.shape)
 
 
 def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,15 +336,27 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
 
     Each operand is quantised once at its own shape; only the product is
     broadcast, so a column times a row quantises ``n + m`` operands, not
-    ``2 * n * m``.
+    ``2 * n * m``.  Formats whose products binary32 holds exactly multiply
+    there, and widen to binary64 only for a call with a rare lane.
     """
-    qa = _operand(np.asarray(a, np.float32), fmt)
-    qb = _operand(np.asarray(b, np.float32), fmt)
-    shape = np.broadcast(qa, qb).shape
+    a32, b32 = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    shape = np.broadcast(a32, b32).shape
+    c = _constants(fmt)
+    dtype = np.float64 if c.narrow is None else np.float32
+    qa, rare_a = _quantized_operand(a32, fmt, dtype)
+    qb, rare_b = _quantized_operand(b32, fmt, dtype)
+    qa, qb = qa.reshape(a32.shape), qb.reshape(b32.shape)
+    if dtype is np.float32:
+        if not (rare_a or rare_b):
+            # The operands stay intact for the fallback, so the product gets its own array.
+            with np.errstate(over="ignore"):
+                product = np.multiply(qa, qb, out=np.empty(shape, np.float32)).reshape(-1)
+            if not _round_and_clamp(product, c):
+                return product.reshape(shape)
+        qa, qb = qa.astype(np.float64), qb.astype(np.float64)  # exact
     # Writing into an operand of the full shape, when there is one, saves an array.
     full = qa if qa.shape == shape else qb if qb.shape == shape else None
     product = np.multiply(qa, qb, out=full).reshape(-1)
-    c = _constants(fmt)
     rare = _round_and_clamp(product, c)
     if c.overflows32:  # entering errstate costs about a microsecond, so only where it is needed
         with np.errstate(over="ignore"):

@@ -30,7 +30,7 @@ class ErrorReport:
 
 
 def _compare(reference, approximation) -> tuple[np.ndarray, np.ndarray, float]:
-    """Both inputs as flat float64 or complex128 (float64 is not copied), and their MSE."""
+    """Flat float64 or complex128 reference (float64 is not copied), |ref - approx| and the MSE."""
     ref = np.asarray(reference)
     approx = np.asarray(approximation)
     if ref.shape != approx.shape:
@@ -40,7 +40,8 @@ def _compare(reference, approximation) -> tuple[np.ndarray, np.ndarray, float]:
     dtype = np.complex128 if np.iscomplexobj(ref) or np.iscomplexobj(approx) else np.float64
     ref = ref.astype(dtype, copy=False).ravel()
     approx = approx.astype(dtype, copy=False).ravel()
-    return ref, approx, float(np.mean(np.abs(ref - approx) ** 2))
+    error = np.abs(ref - approx)
+    return ref, error, float(np.mean(error**2))
 
 
 def rmse(reference, approximation) -> float:
@@ -70,11 +71,11 @@ def error_report(reference, approximation) -> ErrorReport:
     (NaN included) are excluded from the relative-error statistics and
     counted in ``skipped``; RMSE still includes every element.
     """
-    ref, approx, mse = _compare(reference, approximation)
+    ref, error, mse = _compare(reference, approximation)
     usable = np.isfinite(ref) & (ref != 0)
     if not usable.all():  # a boolean index copies, so skip it when nothing is excluded
-        ref, approx = ref[usable], approx[usable]
-    rel = 100.0 * np.abs(ref - approx) / np.abs(ref)
+        ref, error = ref[usable], error[usable]
+    rel = 100.0 * error / np.abs(ref)
     return ErrorReport(
         count=int(usable.size),
         max_rel_err_pct=float(rel.max()) if rel.size else 0.0,

@@ -277,7 +277,7 @@ def broadcast_first_mul(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> 
     a32, b32 = np.broadcast_arrays(np.asarray(a, np.float32), np.asarray(b, np.float32))
     product = batch._operand(a32.ravel(), fmt)
     product *= batch._operand(b32.ravel(), fmt)
-    batch._quantize(product, fmt)
+    batch._round_and_clamp(product, batch._constants(fmt))
     product += 0.0
     with np.errstate(over="ignore"):
         out = product.astype(np.float32)
@@ -461,18 +461,149 @@ def test_output_nan_is_canonical_whatever_nan_the_product_carries(monkeypatch):
     # On x86 a product NaN is the operands' own quiet NaN, so the output
     # canonicalisation is exercised here by handing the multiply operands whose
     # NaN is negative and carries a payload, as other platforms may produce.
-    operand = batch._operand
+    # A NaN operand is a rare lane, so the product is taken in binary64.
+    operand = batch._quantized_operand
 
-    def odd_nan_operand(x32, fmt):
-        x = operand(x32, fmt)
-        x.view(np.uint64)[np.isnan(x)] = 0xFFF8_0000_0000_1234
-        return x
+    def odd_nan_operand(x32, fmt, dtype):
+        x, rare = operand(x32, fmt, dtype)
+        odd = 0xFFF8_0000_0000_1234 if x.itemsize == 8 else 0xFFC0_1234
+        x.view(f"u{x.itemsize}")[np.isnan(x)] = odd
+        return x, rare
 
-    monkeypatch.setattr(batch, "_operand", odd_nan_operand)
+    monkeypatch.setattr(batch, "_quantized_operand", odd_nan_operand)
     a = np.array([np.nan, 1.5, np.inf, 2.0], np.float32)
     b = np.array([2.0, np.nan, -3.0, 0.5], np.float32)
     out = batch.mul_float32_batch(F1862, a, b)
     assert out.view(np.uint32).tolist() == [0x7FC00000] * 3 + [0x3F800000]
+
+
+# Formats with f <= 11 and a window ending by 2**127 multiply in binary32: two
+# (f+1)-bit significands give at most 24 bits, so every product inside
+# binary32's normal range is exact there.  Any rare lane sends the call to
+# binary64.
+def binary32_exact(fmt: FixedPositFormat) -> bool:
+    f, hi = fmt.fraction_bits, scale_range(fmt).max_scale
+    # Past 2**200 the window is far beyond binary32; the cap keeps the Fraction small.
+    maxpos = Fraction(2 ** (f + 1) - 1, 2**f) * Fraction(2) ** min(hi, 200)
+    return (2 ** (f + 1) - 1) ** 2 < 2**24 and maxpos < 2**128
+
+
+def test_binary32_path_is_enabled_exactly_where_products_are_exact_there():
+    for fmt in all_fixed_formats(32):
+        assert (batch._constants(fmt).narrow is not None) == binary32_exact(fmt), fmt
+    enabled = [fmt for fmt in PINNED_32BIT_FORMATS[:-2] if batch._constants(fmt).narrow is not None]
+    assert len(PINNED_32BIT_FORMATS[:-2]) == 38 and len(enabled) == 15 and F1862 in enabled
+    assert batch._constants(FixedPositFormat(32, 6, 2)).narrow is None
+    assert batch._constants(FixedPositFormat(16, 8, 1)).narrow is None
+
+
+def rounded_in_binary64(monkeypatch) -> list[int]:
+    """Sizes of the binary64 arrays ``_round_and_clamp`` rounds from now on."""
+    sizes = []
+    round_and_clamp = batch._round_and_clamp
+
+    def spy(x, c):
+        if x.dtype == np.float64:
+            sizes.append(x.size)
+        return round_and_clamp(x, c)
+
+    monkeypatch.setattr(batch, "_round_and_clamp", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_binary32_path_matches_binary64_on_every_value_pair(n, monkeypatch):
+    # Every format with n <= 10 multiplies in binary32.  Each signed value of
+    # the format and each of its binary32 neighbours, which the operand
+    # rounding moves onto a value or saturates, times each positive value.
+    # Pairs whose operands lie strictly between minpos and maxpos and whose
+    # product lies in [2**(min_scale+1), maxpos] and binary32's normal range
+    # must take the binary32 product; the rest fall back or start in binary64.
+    wide = rounded_in_binary64(monkeypatch)
+    for fmt in all_fixed_formats(n, min_n=n):
+        assert batch._constants(fmt).narrow is not None, fmt
+        rng, f = scale_range(fmt), fmt.fraction_bits
+        maxpos = math.ldexp(2.0 - 2.0**-f, rng.max_scale)
+        minpos = math.ldexp(1.0 + 2.0**-f, rng.min_scale)
+        b = batch.to_binary64_batch(np.arange(1, 1 << (n - 1)), fmt).astype(np.float32)
+        a = np.concatenate([b, np.nextafter(b, np.float32(0)), np.nextafter(b, np.float32(np.inf))])
+        a = np.concatenate([a, -a])
+        expected = broadcast_first_mul(fmt, a[:, None], b[None, :])
+        qa, qb = batch._operand(a, fmt), batch._operand(b, fmt)
+        inside_a = (np.abs(qa) > minpos) & (np.abs(qa) < maxpos)
+        inside_b = (np.abs(qb) > minpos) & (np.abs(qb) < maxpos)
+        exact = np.abs(qa[:, None] * qb[None, :])
+        ordinary = inside_a[:, None] & inside_b[None, :] & (exact <= maxpos)
+        ordinary &= exact >= math.ldexp(1.0, max(rng.min_scale + 1, -126))
+        wide_a, wide_b = np.broadcast_arrays(a[:, None], b[None, :])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide.clear()
+            got = batch.mul_float32_batch(fmt, wide_a[ordinary], wide_b[ordinary])
+            assert wide == [], fmt  # no fallback
+            rest = batch.mul_float32_batch(fmt, wide_a[~ordinary], wide_b[~ordinary])
+        assert np.array_equal(got.view(np.uint32), expected[ordinary].view(np.uint32)), fmt
+        assert np.array_equal(rest.view(np.uint32), expected[~ordinary].view(np.uint32)), fmt
+
+
+def boundary_operands(fmt: FixedPositFormat) -> dict[str, np.ndarray]:
+    """Groups of nonzero binary32 normals whose products reach the binary32 path's edges."""
+    f = fmt.fraction_bits
+    fractions = [1.0, 1.0 + 2.0**-f, 2.0 - 2.0**-f, 1.5 + 2.0**-f]
+    # (1 + 2**(i-f)) * (1 + 2**(j-f)) with i + j = f - 1 is a tie at f bits: it
+    # rounds up when i or j is 0 (odd kept lsb) and down otherwise.
+    ties = [1.0 + 2.0 ** (i - f) for i in range(f)]
+    groups = {
+        "under": [m * 2.0**s for m in fractions for s in (-64, -63)],  # products from 2**-128
+        "over": [m * 2.0**s for m in fractions for s in (63, 64)],  # products to past 2**128
+        "ties": ties + [t * 2.0**-63 for t in ties],
+    }
+    return {k: np.array(v + [-x for x in v], np.float32) for k, v in groups.items()}
+
+
+@pytest.mark.parametrize("fmt", [F1862, FixedPositFormat(12, 2, 3)], ids=str)
+def test_binary32_path_at_its_boundaries_matches_scalar(fmt):
+    # At (18,6,2), products in [2**-128, 2**-126) lie inside the window but are
+    # binary32 subnormals, so they must fall back; (12,2,3) saturates them.
+    groups = boundary_operands(fmt)
+    specials = np.array([0x00000000, 0x80000000, 0x807FFFFF, 0x007FFFFF,
+                         0x7F800000, 0xFF800000, 0x7FC00000], np.uint32).view(np.float32)
+    for name, ops in groups.items():
+        checked_mul(fmt, ops[:, None], ops[None, :])
+        checked_mul(fmt, ops, ops[::-1])
+    everything = np.concatenate([*groups.values(), specials, np.float32([1.0, -3.0])])
+    checked_mul(fmt, everything[:, None], everything[None, :])
+    # Flushed before it is rounded: rounded first, 0x807FFFFF would become -2**-126.
+    flushed = checked_mul(fmt, specials[2:4], np.float32([1.0, 1.0]))
+    assert flushed.view(np.uint32).tolist() == [0, 0]
+
+
+def test_gemm_rank1_step_takes_the_binary32_path_and_falls_back_once(monkeypatch):
+    # A gemm rank-1 step at (18,6,2) quantises its 200-element column and row
+    # once each, in binary32.  With no rare lane the rounded binary32 product
+    # is the result; one product below 2**-126 sends it to binary64 once.
+    quantised = []
+    quantized_operand = batch._quantized_operand
+
+    def spy(x32, fmt, dtype):
+        quantised.append((np.size(x32), dtype))
+        return quantized_operand(x32, fmt, dtype)
+
+    monkeypatch.setattr(batch, "_quantized_operand", spy)
+    wide = rounded_in_binary64(monkeypatch)
+    rng = np.random.default_rng(200)
+    a = rng.uniform(-1.0, 1.0, (200, 200)).astype(np.float32)
+    for k, underflow in [(7, False), (8, True)]:
+        if underflow:
+            a[3, k], a[k, 5] = np.float32(2.0**-64), np.float32(2.0**-63)
+        quantised.clear()
+        wide.clear()
+        out = batch.mul_float32_batch(F1862, a[:, k:k + 1], a[k, :])
+        assert quantised == [(200, np.float32), (200, np.float32)]
+        assert wide == ([40_000] if underflow else [])
+        expected = broadcast_first_mul(F1862, a[:, k:k + 1], a[k, :])
+        assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
+    assert out[3, 5] == np.float32(2.0**-127)  # inside the window, below binary32's normals
 
 
 # Each call would run without the width gate: (33,6,2) has 24 fraction bits.

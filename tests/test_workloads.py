@@ -145,13 +145,13 @@ def test_substituted_mul_quantises_each_operand_once(monkeypatch):
     # A gemm rank-1 step quantises a 200-element column and a 200-element row,
     # not the 2 x 40,000 lanes of their broadcast.
     quantised = []
-    operand = batch._operand
+    operand = batch._quantized_operand
 
-    def counting_operand(x32, fmt):
+    def counting_operand(x32, fmt, dtype):
         quantised.append(np.size(x32))
-        return operand(x32, fmt)
+        return operand(x32, fmt, dtype)
 
-    monkeypatch.setattr(batch, "_operand", counting_operand)
+    monkeypatch.setattr(batch, "_quantized_operand", counting_operand)
     mul = TracingMul(partial(mul_float32_batch, F18))
     a = np.ones((200, 200), np.float32)
     out = mul(a[:, 7:8], a[7, :])
