@@ -568,7 +568,7 @@ def test_binary32_path_at_its_boundaries_matches_scalar(fmt):
     groups = boundary_operands(fmt)
     specials = np.array([0x00000000, 0x80000000, 0x807FFFFF, 0x007FFFFF,
                          0x7F800000, 0xFF800000, 0x7FC00000], np.uint32).view(np.float32)
-    for name, ops in groups.items():
+    for ops in groups.values():
         checked_mul(fmt, ops[:, None], ops[None, :])
         checked_mul(fmt, ops, ops[::-1])
     everything = np.concatenate([*groups.values(), specials, np.float32([1.0, -3.0])])
