@@ -42,7 +42,6 @@ from .metrics import (
 from .multiplier import (
     DatapathTrace,
     mul_binary32_bits,
-    mul_binary32_via,
     mul_datapath,
     mul_datapath_traced,
     mul_reference,
@@ -95,7 +94,6 @@ __all__ = [
     "sweep_conversion_error",
     "DatapathTrace",
     "mul_binary32_bits",
-    "mul_binary32_via",
     "mul_datapath",
     "mul_datapath_traced",
     "mul_reference",

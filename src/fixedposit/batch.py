@@ -122,7 +122,6 @@ class _Constants(NamedTuple):
     narrow: _Rounding | None  # binary32, for formats whose products it holds exactly
     minpos: float
     maxpos: float
-    overflows32: bool  # maxpos rounds to inf in binary32, so the product's cast can overflow
     regimes: np.ndarray  # regime fields for k = -rs .. rs-1, shifted into place
 
 
@@ -140,8 +139,6 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
     regimes = np.array([(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
                         for k in range(-rs, rs)], _I64) << (es + f)
     regimes.flags.writeable = False  # every caller shares it
-    with np.errstate(over="ignore"):
-        overflows32 = bool(np.isinf(np.float32(maxpos)))
     # Two (f+1)-bit significands multiply to at most 24 bits, which binary32
     # holds, when f <= 11; maxpos is finite there when the window ends by 2**127.
     exact32 = f <= 11 and rng.max_scale <= 127
@@ -150,7 +147,6 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
         narrow=_rounding(np.float32, f, lo, maxpos) if exact32 else None,
         minpos=math.ldexp(1.0 + 2.0**-f, lo),
         maxpos=maxpos,
-        overflows32=overflows32,
         regimes=regimes,
     )
 
@@ -358,10 +354,7 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
     full = qa if qa.shape == shape else qb if qb.shape == shape else None
     product = np.multiply(qa, qb, out=full).reshape(-1)
     rare = _round_and_clamp(product, c)
-    if c.overflows32:  # entering errstate costs about a microsecond, so only where it is needed
-        with np.errstate(over="ignore"):
-            out = product.astype(np.float32)
-    else:
+    with np.errstate(over="ignore"):  # maxpos past binary32's range casts to inf
         out = product.astype(np.float32)
     if rare:  # NaN sign and payload vary by platform
         out.view(np.uint32)[np.isnan(out)] = _QNAN32

@@ -25,6 +25,7 @@ from .formats import (
     SWEEP_WIDTHS,
     FixedPositFormat,
     enumerate_ieee_equivalent,
+    paper_formats,
     parse_fixed_posit,
     scale_range,
 )
@@ -148,8 +149,7 @@ def _workload_fmt_arg(text: str) -> FixedPositFormat | str:
 
 
 def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
-    widths = SWEEP_WIDTHS if args.all_paper_widths else (args.width,)
-    rows = [fmt for width in widths for fmt in enumerate_ieee_equivalent(width)]
+    rows = paper_formats() if args.all_paper_widths else enumerate_ieee_equivalent(args.width)
     for fmt in rows:
         rng = scale_range(fmt)
         report["results"].append(
@@ -222,10 +222,7 @@ def cmd_mul(args: argparse.Namespace, report: dict) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, report: dict) -> None:
-    if args.all_paper_widths:
-        formats = [fmt for width in SWEEP_WIDTHS for fmt in enumerate_ieee_equivalent(width)]
-    else:
-        formats = [args.fmt]
+    formats = paper_formats() if args.all_paper_widths else [args.fmt]
     report["samples"] = args.samples
     report["distribution"] = args.dist
     for fmt in formats:

@@ -64,14 +64,6 @@ class DecodedNumber:
     significand: int = 1
     fraction_bits: int = 0
 
-    @classmethod
-    def zero(cls) -> "DecodedNumber":
-        return cls(NumberClass.ZERO)
-
-    @classmethod
-    def nar(cls) -> "DecodedNumber":
-        return cls(NumberClass.NAR)
-
     @property
     def is_zero(self) -> bool:
         return self.klass is NumberClass.ZERO
@@ -138,9 +130,9 @@ def decode(w: PositWord) -> DecodedNumber:
     n, es, rs, f = fmt.n, fmt.es, fmt.rs, fmt.fraction_bits
     bits = w.bits
     if bits == 0:
-        return DecodedNumber.zero()
+        return DecodedNumber(NumberClass.ZERO)
     if bits == 1 << (n - 1):
-        return DecodedNumber.nar()
+        return DecodedNumber(NumberClass.NAR)
     sign = -1 if bits >> (n - 1) else 1
     mag = (-bits) & ((1 << n) - 1) if sign < 0 else bits
     k = _regime_k((mag >> (es + f)) & ((1 << rs) - 1), rs)

@@ -102,6 +102,11 @@ def enumerate_ieee_equivalent(n: int) -> list[FixedPositFormat]:
     return found
 
 
+def paper_formats() -> list[FixedPositFormat]:
+    """The paper's grid: every binary32-range format at each of ``SWEEP_WIDTHS``."""
+    return [fmt for width in SWEEP_WIDTHS for fmt in enumerate_ieee_equivalent(width)]
+
+
 def parse_fixed_posit(text: str) -> FixedPositFormat:
     """Parse 'N,es,rs' (as used on the command line) into a format."""
     parts = text.split(",")

@@ -13,15 +13,12 @@ re-encodes through the generic codec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .codec import (
     PositWord,
-    bits32_to_float,
     decode,
     encode,
     exact_mul,
-    float_to_bits32,
     from_binary32,
     nar_word,
     to_binary32,
@@ -190,17 +187,3 @@ def mul_binary32_bits(fmt: FixedPositFormat, a_bits: int, b_bits: int) -> int:
     wa = from_binary32(a_bits, fmt)
     wb = from_binary32(b_bits, fmt)
     return to_binary32(mul_datapath(wa, wb))
-
-
-def mul_binary32_via(fmt: FixedPositFormat) -> Callable[[float, float], float]:
-    """A drop-in replacement for binary32 multiplication routed through ``fmt``.
-
-    The returned callable coerces its arguments to binary32, multiplies them
-    in the fixed-posit format, and returns the binary32 result widened to a
-    Python float.
-    """
-
-    def mul(a: float, b: float) -> float:
-        return bits32_to_float(mul_binary32_bits(fmt, float_to_bits32(a), float_to_bits32(b)))
-
-    return mul

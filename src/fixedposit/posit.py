@@ -34,9 +34,9 @@ def posit_decode(w: PositWord) -> DecodedNumber:
     n, es = fmt.n, fmt.es
     bits = w.bits
     if bits == 0:
-        return DecodedNumber.zero()
+        return DecodedNumber(NumberClass.ZERO)
     if bits == 1 << (n - 1):
-        return DecodedNumber.nar()
+        return DecodedNumber(NumberClass.NAR)
     sign = -1 if bits >> (n - 1) else 1
     body = (-bits) & ((1 << n) - 1) if sign < 0 else bits  # all bits after the sign
     width = n - 1

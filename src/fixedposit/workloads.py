@@ -262,8 +262,10 @@ def synthetic_image(size: int = 256) -> np.ndarray:
 
 
 def _sobel_on(img: np.ndarray, mul: TracingMul) -> np.ndarray:
+    size_y, size_x = img.shape
+    if size_y < 3 or size_x < 3:
+        raise ValueError(f"sobel needs at least a 3x3 image, got {size_y}x{size_x}")
     p = img.astype(_F32)
-    size_y, size_x = p.shape
     w = lambda di, dj: p[1 + di : size_y - 1 + di, 1 + dj : size_x - 1 + dj]
     c = lambda v: _F32(v)
     gx = (
@@ -280,8 +282,6 @@ def _sobel_on(img: np.ndarray, mul: TracingMul) -> np.ndarray:
 
 def _kernel_sobel(size: int, seed: int, mul: TracingMul) -> np.ndarray:
     """3x3 gradient magnitude over the synthetic test image."""
-    if size < 3:
-        raise ValueError(f"sobel needs at least a 3x3 image, got size {size}")
     return _sobel_on(synthetic_image(size), mul)
 
 
@@ -404,8 +404,6 @@ def run_workload(
         raise ValueError(f"size must be positive, got {size}")
 
     if image is not None:
-        if image.shape[0] < 3 or image.shape[1] < 3:
-            raise ValueError("sobel needs at least a 3x3 image")
         size = int(image.shape[0])  # size reports the frame actually processed
         runner = lambda mul: _sobel_on(image, mul)
     else:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fixedposit.cli import main
+from fixedposit.formats import paper_formats
 from fixedposit.workloads import synthetic_image, write_pgm
 
 
@@ -300,6 +301,13 @@ def test_sweep_all_widths(capsys):
     assert len(report["results"]) == 38
 
 
+@pytest.mark.parametrize("command", [("enumerate",), ("sweep", "--samples", "10")], ids=" ".join)
+def test_all_paper_widths_report_the_paper_grid_in_order(capsys, command):
+    report = run_json(capsys, *command, "--all-paper-widths")
+    got = [tuple(r["format"]) for r in report["results"]]
+    assert got == [(f.n, f.es, f.rs) for f in paper_formats()]
+
+
 def test_workload_reference_row(capsys):
     report = run_json(capsys, "workload", "--name", "dot", "--fmt", "reference", "--size", "16")
     entry = report["results"][0]
@@ -371,6 +379,11 @@ def test_workload_rejects_malformed_pgm(tmp_path, capsys, data, problem):
         capsys, "workload", "--name", "sobel", "--fmt", "18,6,2", "--image", str(path)
     )
     assert problem in error
+
+
+def test_workload_sobel_needs_a_3x3_frame(capsys):
+    error = run_error(capsys, "workload", "--name", "sobel", "--fmt", "18,6,2", "--size", "2")
+    assert error == "error: sobel needs at least a 3x3 image, got 2x2"
 
 
 def test_workload_rejects_image_for_other_kernels(tmp_path, capsys):

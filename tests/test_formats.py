@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixedposit import (
-    SWEEP_WIDTHS,
     FixedPositFormat,
     PositFormat,
     ScaleRange,
@@ -11,6 +10,7 @@ from fixedposit import (
     parse_fixed_posit,
     scale_range,
 )
+from fixedposit.formats import paper_formats
 
 # The 38 configurations whose scale range matches binary32: widths 22..32
 # carry es 3..7, widths 18 and 20 lose the es=3 row to the fraction-bit rule.
@@ -71,20 +71,17 @@ def test_enumerate_small_width_is_empty():
 
 
 def test_enumerate_full_grid():
-    got = sorted(
-        (f.n, f.es, f.rs) for width in SWEEP_WIDTHS for f in enumerate_ieee_equivalent(width)
-    )
-    assert got == EXPECTED_GRID
+    got = [(f.n, f.es, f.rs) for f in paper_formats()]
+    assert got == EXPECTED_GRID  # in width, then es, order
     assert len(got) == 38
 
 
 def test_enumerated_formats_cover_binary32_scales():
-    for width in SWEEP_WIDTHS:
-        for fmt in enumerate_ieee_equivalent(width):
-            rng = scale_range(fmt)
-            assert rng.min_scale <= -126 and rng.max_scale >= 127
-            assert fmt.rs * (1 << fmt.es) == 128
-            assert fmt.es > 0  # 128 is not reachable with es=0 inside these widths
+    for fmt in paper_formats():
+        rng = scale_range(fmt)
+        assert rng.min_scale <= -126 and rng.max_scale >= 127
+        assert fmt.rs * (1 << fmt.es) == 128
+        assert fmt.es > 0  # 128 is not reachable with es=0 inside these widths
 
 
 @given(

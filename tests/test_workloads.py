@@ -7,7 +7,7 @@ from fixedposit import (
     FixedPositFormat,
     OperandTrace,
     TracingMul,
-    mul_binary32_via,
+    mul_binary32_bits,
     read_pgm,
     run_workload,
     synthetic_image,
@@ -260,6 +260,20 @@ def test_sobel_accepts_external_image(tmp_path):
     assert from_file.quality == synthetic.quality
 
 
+@pytest.mark.parametrize(
+    "size, image, frame",
+    [
+        (2, None, "2x2"),
+        (40, np.zeros((2, 5), np.uint8), "2x5"),
+        (40, np.zeros((5, 2), np.uint8), "5x2"),
+    ],
+    ids=["synthetic-2", "external-2x5", "external-5x2"],
+)
+def test_sobel_needs_a_3x3_frame(size, image, frame):
+    with pytest.raises(ValueError, match=f"sobel needs at least a 3x3 image, got {frame}$"):
+        run_workload("sobel", F18, size=size, image=image)
+
+
 def test_only_sobel_takes_an_image():
     with pytest.raises(ValueError, match="sobel only, not gemm"):
         run_workload("gemm", F18, size=8, image=synthetic_image(8))
@@ -285,10 +299,10 @@ def test_kmeans_is_stable_for_separated_blobs():
 
 
 def test_batch_substitution_matches_scalar_callable():
-    mul_scalar = mul_binary32_via(F18)
     rng = np.random.default_rng(31)
     a = np.exp2(rng.uniform(-6, 6, 200)).astype(np.float32)
     b = np.exp2(rng.uniform(-6, 6, 200)).astype(np.float32)
-    out = mul_float32_batch(F18, a, b)
+    out = mul_float32_batch(F18, a, b).view(np.uint32)
+    a_bits, b_bits = a.view(np.uint32), b.view(np.uint32)
     for i in range(0, 200, 7):
-        assert out[i] == np.float32(mul_scalar(float(a[i]), float(b[i])))
+        assert out[i] == mul_binary32_bits(F18, int(a_bits[i]), int(b_bits[i]))
