@@ -71,6 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codec import _regime_field
 from .formats import FixedPositFormat, scale_range
 
 _I64 = np.int64
@@ -135,9 +136,7 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
     # 2**+-1000 saturates nothing; clamping keeps its bounds finite.
     lo, hi = max(rng.min_scale, -1000), min(rng.max_scale, 1000)
     maxpos = math.ldexp(2.0 - 2.0**-f, hi)
-    # Regime fields: -k zeros then ones, or k+1 ones then zeros.
-    regimes = np.array([(1 << (rs + k)) - 1 if k < 0 else ((2 << k) - 1) << (rs - 1 - k)
-                        for k in range(-rs, rs)], _I64) << (es + f)
+    regimes = np.array([_regime_field(k, rs) for k in range(-rs, rs)], _I64) << (es + f)
     regimes.flags.writeable = False  # every caller shares it
     # Two (f+1)-bit significands multiply to at most 24 bits, which binary32
     # holds, when f <= 11; maxpos is finite there when the window ends by 2**127.

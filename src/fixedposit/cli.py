@@ -254,8 +254,18 @@ def cmd_workload(args: argparse.Namespace, report: dict) -> None:
             record_trace=bool(args.trace_out),
             image=image,
         )
-        entry = {"kind": "workload_result"}
-        entry.update(result.to_dict())
+        entry = {
+            "kind": "workload_result",
+            "workload": result.workload,
+            "format": fmt if fmt == "reference" else _fmt_triple(fmt),
+            "size": result.size,
+            "seed": result.seed,
+            "primary_metric": result.primary_metric,
+            "quality": result.quality,
+            "metrics": result.metrics,
+            "mul_count": result.mul_count,
+            "elapsed_s": result.elapsed_s,
+        }
         report["results"].append(entry)
         if trace is not None:
             path = args.trace_out

@@ -247,7 +247,8 @@ def to_binary64(w: PositWord) -> float:
 def binary32_bits(d: DecodedNumber) -> int:
     """Correctly-rounded binary32 bit pattern of a decoded value.
 
-    Zero gives +0 and NaR the quiet NaN 0x7FC00000.  Magnitudes below
+    Zero gives +0 and NaR the quiet NaN 0x7FC00000.  The value is rounded
+    once, to 23 fraction bits at ``2**max(scale, -126)``, so magnitudes below
     2**-126 give subnormal patterns and overflow gives infinity.
     """
     if d.is_zero:
@@ -255,18 +256,14 @@ def binary32_bits(d: DecodedNumber) -> int:
     if d.is_nar:
         return 0x7FC00000
     s_bit = 0 if d.sign > 0 else 1 << 31
-    scale = d.scale
-    if scale >= -126:
-        sig24 = round_to_nearest_even(d.significand, d.fraction_bits - 23)
-        if sig24 == 1 << 24:
-            sig24 >>= 1
-            scale += 1
-        if scale > 127:
-            return s_bit | 0x7F800000
-        return s_bit | ((scale + 127) << 23) | (sig24 & 0x7FFFFF)
-    # Subnormal target grid: multiples of 2**-149.
-    mantissa = round_to_nearest_even(d.significand, d.fraction_bits - scale - 149)
-    return s_bit | mantissa  # mantissa == 2**23 lands on the smallest normal
+    exponent = max(d.scale, -126)
+    if exponent > 127:
+        return s_bit | 0x7F800000
+    mantissa = round_to_nearest_even(d.significand, d.fraction_bits - 23 + exponent - d.scale)
+    # Adding the mantissa, hidden bit included, to the exponent field carries a
+    # rounding up into it: 2**24 at 2**127 packs as infinity, and a subnormal
+    # that rounds up to 2**23 as the smallest normal.
+    return s_bit | (mantissa + ((exponent + 126) << 23))
 
 
 def to_binary32(w: PositWord) -> int:

@@ -20,10 +20,6 @@ class ScaleRange:
     min_scale: int
     max_scale: int
 
-    def __post_init__(self) -> None:
-        if self.min_scale > self.max_scale:
-            raise ValueError(f"empty scale range [{self.min_scale}, {self.max_scale}]")
-
 
 @dataclass(frozen=True, slots=True)
 class FixedPositFormat:

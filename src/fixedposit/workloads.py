@@ -16,7 +16,7 @@ particular random draw.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -323,22 +323,9 @@ class WorkloadResult:
     seed: int
     primary_metric: str
     quality: float
-    metrics: dict = field(default_factory=dict)
-    mul_count: int = 0
-    elapsed_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "format": [self.fmt.n, self.fmt.es, self.fmt.rs] if self.fmt else "reference",
-            "size": self.size,
-            "seed": self.seed,
-            "primary_metric": self.primary_metric,
-            "quality": self.quality,
-            "metrics": self.metrics,
-            "mul_count": self.mul_count,
-            "elapsed_s": self.elapsed_s,
-        }
+    metrics: dict
+    mul_count: int
+    elapsed_s: float
 
 
 def _quality_rel(ref: np.ndarray, sub: np.ndarray) -> tuple[str, dict]:

@@ -157,6 +157,13 @@ def test_mul_with_datapath_trace(capsys):
     trace = entry["datapath_trace"]
     assert trace["raw_scale"] == 2
     assert trace["carry"] == 0
+    code, out, _ = run_cli(
+        capsys, "mul", "--fmt", "8,2,2", "--a", "2.0", "--b", "3.0", "--trace-datapath"
+    )
+    assert code == 0
+    assert out.splitlines() == ["0x48 * 0x4c -> 0x54  (6.0)"] + [
+        f"  {key} = {value}" for key, value in trace.items()
+    ]
 
 
 def test_mul_nar_result(capsys):
@@ -369,8 +376,10 @@ def test_workload_bad_size_fails(capsys):
         (b"P5\n4 4\n", "PGM header is truncated: 3 of 4 fields"),
         (b"P5\nx 4\n255\n" + bytes(16), "PGM width is not a decimal number: b'x'"),
         (b"P5\n4 4\n255\n" + bytes(10), "PGM body is truncated: 10 of 4x4 pixel bytes"),
+        (b"P5\n# a comment\n4 4\n", "PGM header is truncated: 3 of 4 fields"),
+        (b"P5\n4 4\n65535\n" + bytes(32), "only 8-bit PGM supported, got maxval 65535"),
     ],
-    ids=["truncated-header", "non-numeric-width", "short-body"],
+    ids=["truncated-header", "non-numeric-width", "short-body", "comment", "16-bit"],
 )
 def test_workload_rejects_malformed_pgm(tmp_path, capsys, data, problem):
     path = tmp_path / "frame.pgm"
@@ -384,6 +393,8 @@ def test_workload_rejects_malformed_pgm(tmp_path, capsys, data, problem):
 def test_workload_sobel_needs_a_3x3_frame(capsys):
     error = run_error(capsys, "workload", "--name", "sobel", "--fmt", "18,6,2", "--size", "2")
     assert error == "error: sobel needs at least a 3x3 image, got 2x2"
+    error = run_error(capsys, "workload", "--name", "sobel", "--fmt", "18,6,2", "--size", "1")
+    assert error == "error: image side must be at least 2, got 1"
 
 
 def test_workload_rejects_image_for_other_kernels(tmp_path, capsys):

@@ -50,6 +50,14 @@ def test_decode_hand_worked_word():
 def test_decode_specials():
     assert decode(PositWord(0x00, F822)).is_zero
     assert decode(PositWord(0x80, F822)).is_nar
+    with pytest.raises(ValueError, match="NaR has no rational value"):
+        decode(PositWord(0x80, F822)).exact_value()
+
+
+@pytest.mark.parametrize("bits", [0x100, -1])
+def test_word_must_fit_its_width(bits):
+    with pytest.raises(ValueError, match="does not fit in 8 bits"):
+        PositWord(bits, F822)
 
 
 def test_decode_negative_is_twos_complement():
@@ -331,6 +339,59 @@ def test_batch_to_binary32_matches_scalar_beyond_binary64():
     assert np.array_equal(np.signbit(got64), np.signbit(expected64))
 
 
+def rounding_fractions(f: int, drop: int) -> list[int]:
+    """``f``-bit fractions that round at ``drop`` dropped bits.
+
+    A carry (all ones), ties with an even and an odd kept bit, and a value
+    just past a tie.
+    """
+    tie = 1 << (drop - 1)
+    return [(1 << f) - 1, tie, (tie | (1 << drop)) & ((1 << f) - 1), tie + 1]
+
+
+@pytest.mark.parametrize(
+    "fmt",
+    [FixedPositFormat(32, 0, 1), FixedPositFormat(32, 1, 1), FixedPositFormat(31, 0, 1),
+     FixedPositFormat(32, 2, 3), FixedPositFormat(32, 4, 2)],
+    ids=str,
+)
+def test_to_binary32_rounds_like_a_cast_past_23_fraction_bits(fmt):
+    # These words are exact in binary64, so its cast to binary32 rounds once.
+    n, f = fmt.n, fmt.fraction_bits
+    mask = (1 << n) - 1
+    mags = [
+        (head << f) | frac
+        for head in range(1 << (n - 1 - f))  # every raw regime/exponent field
+        for frac in rounding_fractions(f, f - 23)
+    ]
+    rng = np.random.default_rng(23)
+    patterns = np.array(
+        [*rng.integers(0, 1 << n, 20_000), *mags, *((-m) & mask for m in mags)], np.int64
+    )
+    words = [PositWord(int(b), fmt) for b in patterns]
+    want = np.array([to_binary64(w) for w in words]).astype(np.float32).view(np.uint32)
+    want[patterns == 1 << (n - 1)] = 0x7FC00000
+    assert [to_binary32(w) for w in words] == want.tolist()
+    assert np.array_equal(batch.to_binary32_batch(patterns, fmt), want)
+
+
+def test_to_binary32_rounds_subnormals_carries_and_overflow_like_a_cast():
+    fmt = FixedPositFormat(40, 7, 2)  # f = 30, scales [-256, 255]: too wide for the batch path
+    f = fmt.fraction_bits
+    words = []
+    for scale in [*range(-151, -123), *range(125, 130)]:
+        drop = f - 23 + max(-126 - scale, 0)  # below 2**-126 the grid is 2**-149
+        for frac in [0, 1, *(rounding_fractions(f, drop) if drop <= f else [])]:
+            words += [encode(sign, scale, (1 << f) | frac, f, fmt) for sign in (1, -1)]
+    with np.errstate(over="ignore"):
+        want = np.array([to_binary64(w) for w in words]).astype(np.float32).view(np.uint32)
+    got = [to_binary32(w) for w in words]
+    assert got == want.tolist()
+    assert any(0 < g & 0x7FFFFFFF < 0x00800000 for g in got)  # subnormal outputs
+    assert to_binary32(encode(1, -127, (2 << f) - 1, f, fmt)) == 0x00800000  # carry onto 2**-126
+    assert to_binary32(encode(-1, 127, (2 << f) - 1, f, fmt)) == 0xFF800000  # rounds up to 2**128
+
+
 def test_batch_from_binary32_matches_scalar_sampled():
     rng = np.random.default_rng(11)
     pats = np.concatenate(
@@ -346,8 +407,3 @@ def test_batch_from_binary32_matches_scalar_sampled():
         got = batch.from_binary32_batch(pats, fmt)
         expected = np.array([from_binary32(int(p), fmt).bits for p in pats])
         assert np.array_equal(got, expected)
-
-
-def test_batch_rejects_wide_formats():
-    with pytest.raises(ValueError):
-        batch.from_binary32_batch(np.zeros(4, np.int64), FixedPositFormat(40, 6, 2))

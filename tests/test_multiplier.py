@@ -183,15 +183,6 @@ def test_trace_fields_match_decoded_operands_exhaustive(fmt):
 # --- oracle equivalence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("triple", [(8, 2, 2), (8, 3, 1)])
-def test_datapath_equals_reference_exhaustive_8bit(triple):
-    fmt = FixedPositFormat(*triple)
-    words = [PositWord(bits, fmt) for bits in range(256)]
-    for wa in words:
-        for wb in words:
-            assert mul_datapath(wa, wb).bits == mul_reference(wa, wb).bits, (wa, wb)
-
-
 @pytest.mark.parametrize("triple", [(10, 3, 2), (12, 4, 2)])
 def test_datapath_equals_reference_exhaustive_wider(triple):
     # All pairs, with the reference side memoized over its (sign, scale,

@@ -12,6 +12,7 @@ from fixedposit import (
     PositFormat,
     PositWord,
     bits32_to_float,
+    decode,
     encode,
     float_to_bits32,
     from_binary32,
@@ -72,6 +73,8 @@ def test_encode_saturates_at_extremes():
 def test_encode_rejects_bad_significand():
     with pytest.raises(ValueError):
         posit_encode(1, 0, 5, 1, P82)
+    with pytest.raises(ValueError, match="sign must be"):
+        posit_encode(0, 0, 1, 0, P82)
 
 
 def test_encoders_reject_the_other_format_family():
@@ -85,6 +88,10 @@ def test_encoders_reject_the_other_format_family():
         posit_mul_binary32_bits(fixed, one, two)
     with pytest.raises(TypeError, match="expected a fixed-posit format"):
         encode(1, 0, 1, 0, P82)
+    with pytest.raises(TypeError, match="expected a posit word"):
+        posit_decode(PositWord(0x40, fixed))
+    with pytest.raises(TypeError, match="expected a fixed-posit word"):
+        decode(PositWord(0x40, P82))
 
 
 @pytest.mark.parametrize(
@@ -197,6 +204,24 @@ def test_binary32_bridge_on_every_small_posit_word():
                     assert posit_from_binary32(pattern, fmt).bits == bits, (fmt, bits)
             words += 1 << n
     assert words == 40_832
+
+
+@pytest.mark.parametrize("fmt", [PositFormat(32, es) for es in range(3)], ids=str)
+def test_binary32_bridge_rounds_like_a_cast_on_32_bit_posits(fmt):
+    # Up to 29 fraction bits and scales within +-120: float() of a value is exact,
+    # so its cast to binary32 rounds once.
+    rng = np.random.default_rng(32)
+    mags = [int(m) for m in rng.integers(1, 1 << 31, 20_000)]
+    for mag in mags[:300]:
+        mags += [mag | ((1 << j) - 1) for j in range(1, 30)]  # all-ones fractions carry
+        # Ties to even and to odd, and past a tie, at every drop these words have.
+        for drop in range(1, 7):
+            tie = 1 << (drop - 1)
+            high = mag >> drop << drop
+            mags += [high | tie, (high ^ (1 << drop)) | tie, high | (tie + 1)]
+    words = [PositWord(bits, fmt) for m in mags for bits in (m, (-m) & 0xFFFFFFFF)]
+    want = np.array([float(posit_decode(w).exact_value()) for w in words], np.float32)
+    assert [posit_to_binary32(w) for w in words] == want.view(np.uint32).tolist()
 
 
 def test_scale_restricted_equivalence_with_fixed_posit():

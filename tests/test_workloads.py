@@ -41,10 +41,7 @@ def test_workload_names_cover_all_kernels():
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_reference_run_compares_to_itself(name):
     result, _ = run_workload(name, None, size=SMALL_SIZES[name], seed=3)
-    if result.primary_metric == "rmse":
-        assert result.quality == 0.0
-    else:
-        assert result.quality == 0.0
+    assert result.quality == 0.0
     if "psnr_db" in result.metrics:
         assert result.metrics["psnr_db"] == 100.0
     if "top1_agreement_pct" in result.metrics:
@@ -110,6 +107,8 @@ def test_tracing_mul_counts_and_records():
         received.append((a.shape, b.shape))
         return native_mul(a, b)
 
+    with pytest.raises(ValueError, match="operand recording was not enabled"):
+        TracingMul(fn).trace()
     mul = TracingMul(fn, record=True)
     out = mul(np.float32(2.0), np.arange(5, dtype=np.float32))
     assert out.shape == (5,)
@@ -284,6 +283,14 @@ def test_pgm_rejects_other_formats(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
     with pytest.raises(ValueError):
         read_pgm(path)
+    with pytest.raises(ValueError, match=r"expected a 2-d grayscale image, got shape \(2, 2, 3\)"):
+        write_pgm(path, np.zeros((2, 2, 3)))
+
+
+def test_pgm_header_comments_are_skipped(tmp_path):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(b"P5\n# a comment\n3 2 # another\n255\n" + bytes(range(6)))
+    assert np.array_equal(read_pgm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
 
 
 def test_mlp_keeps_top1_agreement_at_narrow_width():
