@@ -38,7 +38,9 @@ unsigned compare on the binary32 bits finds the zero, subnormal, infinite
 and NaN operands, and one on the rounded magnitude's bits finds every value
 outside ``(2**min_scale, maxpos]``.  The fix-ups (flush, NaN, clamp, nudge,
 ``+0``, NaN canonicalisation) run only on calls that have such a lane, so a
-small call costs about as much as its fixed NumPy calls.  Each format's
+small call costs about as much as its fixed NumPy calls.  The multiply pays
+the operand's calls once for both operands: it copies them side by side into
+one buffer of its own and quantises that in one pass.  Each format's
 constants, for binary64 and, where it is exact, binary32, are computed once,
 by ``_constants``.  ``_round_and_clamp`` rounds a 1-d array in place,
 viewing it as the unsigned integer of its own width; callers flatten first,
@@ -304,7 +306,9 @@ def _quantized_operand(
     """``from_binary32`` of each binary32 operand as 1-d ``dtype`` values, and how many are rare.
 
     NaR is NaN.  The flush runs on the unrounded bits: rounded first, the
-    subnormal ``0x807FFFFF`` would become the normal ``-2**-126``.
+    subnormal ``0x807FFFFF`` would become the normal ``-2**-126``.  With
+    ``dtype`` float32 the rounding may run in ``x32`` itself, so its one
+    caller passes a buffer it owns; with binary64 it runs in a copy.
     """
     flat = x32.reshape(-1)
     # One unsigned compare finds the rare lanes: zeros and subnormals, whose
@@ -317,7 +321,7 @@ def _quantized_operand(
         # NaN, so no signalling NaN reaches a cast.
         fixed = np.where(offset < np.uint32(1 << 31), np.uint32(_QNAN32), np.uint32(0))
         flat = np.where(rare, fixed, flat.view(np.uint32)).view(np.float32)
-    values = flat.astype(dtype)  # a copy, which is rounded in place
+    values = flat.astype(dtype, copy=False)
     return values, _round_and_clamp(values, _constants(fmt))
 
 
@@ -329,20 +333,21 @@ def _operand(x32: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
 def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Substituted multiply over float32 arrays (any broadcastable shapes).
 
-    Each operand is quantised once at its own shape; only the product is
+    Both operands are quantised in one pass over a private buffer that
+    holds them side by side, each at its own shape; only the product is
     broadcast, so a column times a row quantises ``n + m`` operands, not
-    ``2 * n * m``.  Formats whose products binary32 holds exactly multiply
-    there, and widen to binary64 only for a call with a rare lane.
+    ``2 * n * m``, and the caller's arrays are never written.  Formats whose
+    products binary32 holds exactly multiply there, and widen to binary64
+    only for a call with a rare lane.
     """
     a32, b32 = np.asarray(a, np.float32), np.asarray(b, np.float32)
     shape = np.broadcast(a32, b32).shape
     c = _constants(fmt)
     dtype = np.float64 if c.narrow is None else np.float32
-    qa, rare_a = _quantized_operand(a32, fmt, dtype)
-    qb, rare_b = _quantized_operand(b32, fmt, dtype)
-    qa, qb = qa.reshape(a32.shape), qb.reshape(b32.shape)
+    q, rare = _quantized_operand(np.concatenate((a32, b32), axis=None), fmt, dtype)
+    qa, qb = q[: a32.size].reshape(a32.shape), q[a32.size :].reshape(b32.shape)
     if dtype is np.float32:
-        if not (rare_a or rare_b):
+        if not rare:
             # The operands stay intact for the fallback, so the product gets its own array.
             with np.errstate(over="ignore"):
                 product = np.multiply(qa, qb, out=np.empty(shape, np.float32)).reshape(-1)

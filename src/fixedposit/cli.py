@@ -8,6 +8,7 @@ machine-readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -363,11 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; input errors print one ``error:`` line and return 2."""
+    """Run one command; input errors print one ``error:`` line and return 2.
+
+    The parser is built on the first call and reused by every later call in
+    the process; each parse starts from fresh state (``_Parser``).
+    """
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_join_value_tokens(argv))
+        args = _parser().parse_args(_join_value_tokens(argv))
         report = {
             "tool": "fixedposit",
             "version": __version__,

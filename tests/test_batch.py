@@ -578,7 +578,7 @@ def test_binary32_path_at_its_boundaries_matches_scalar(fmt):
 
 def test_gemm_rank1_step_takes_the_binary32_path_and_falls_back_once(monkeypatch):
     # A gemm rank-1 step at (18,6,2) quantises its 200-element column and row
-    # once each, in binary32.  With no rare lane the rounded binary32 product
+    # in one binary32 pass over 400 lanes.  With no rare lane the rounded binary32 product
     # is the result; one product below 2**-126 sends it to binary64 once.
     quantised = []
     quantized_operand = batch._quantized_operand
@@ -597,11 +597,56 @@ def test_gemm_rank1_step_takes_the_binary32_path_and_falls_back_once(monkeypatch
         quantised.clear()
         wide.clear()
         out = batch.mul_float32_batch(F1862, a[:, k:k + 1], a[k, :])
-        assert quantised == [(200, np.float32), (200, np.float32)]
+        assert quantised == [(400, np.float32)]
         assert wide == ([40_000] if underflow else [])
         expected = broadcast_first_mul(F1862, a[:, k:k + 1], a[k, :])
         assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
     assert out[3, 5] == np.float32(2.0**-127)  # inside the window, below binary32's normals
+
+
+# mul_float32_batch rounds both operands in one pass over a buffer of its own.
+# Shape pairs of column times row, 0-d times array, array times 0-d and more.
+FUSED_SHAPES = [((7, 1), (5,)), ((), (4, 3)), ((2, 3), ()), ((2, 1, 4), (3, 1)), ((6,), (6,))]
+
+
+def fused_operand(shape: tuple, seed: int, rare: bool) -> np.ndarray:
+    """Binary32 normals that most formats round, with a special operand in lane 0 when ``rare``."""
+    x = np.array(np.random.default_rng(seed).uniform(-4.0, 4.0, shape), np.float32)
+    if rare:
+        x.reshape(-1)[0] = np.uint32(SPECIALS[seed % len(SPECIALS)]).view(np.float32)
+    return x
+
+
+def layouts(x: np.ndarray) -> list[np.ndarray]:
+    """``x`` as a writable, a read-only and a strided array, F-ordered if 2-d or more, scalar if 0-d."""
+    read_only = x.copy()
+    read_only.setflags(write=False)
+    wide = np.repeat(x[..., None], 3, axis=-1)
+    forms = [x.copy(), read_only, wide[..., 1]]
+    if x.ndim >= 2:
+        forms.append(np.asfortranarray(x))
+    if x.ndim == 0:
+        forms.append(x[()])
+    assert all(form.shape == x.shape for form in forms)
+    return forms
+
+
+@pytest.mark.parametrize("fmt", RARE_LANE_FORMATS, ids=str)
+@pytest.mark.parametrize("rare", ["neither", "a", "b", "both"])
+def test_fused_operand_pass_leaves_inputs_alone_and_matches_separate_operands(fmt, rare):
+    for seed, (shape_a, shape_b) in enumerate(FUSED_SHAPES):
+        a = fused_operand(shape_a, seed, rare in ("a", "both"))
+        b = fused_operand(shape_b, seed + 100, rare in ("b", "both"))
+        expected = broadcast_first_mul(fmt, a, b)  # Q(Q(a) * Q(b)), one _operand call each
+        for xa in layouts(a):
+            for xb in layouts(b):
+                before = xa.tobytes(), xb.tobytes()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = batch.mul_float32_batch(fmt, xa, xb)
+                assert (xa.tobytes(), xb.tobytes()) == before
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
 
 # Each call would run without the width gate: (33,6,2) has 24 fraction bits.

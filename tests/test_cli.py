@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fixedposit import __version__
 from fixedposit.cli import main
 from fixedposit.formats import paper_formats
 from fixedposit.workloads import synthetic_image, write_pgm
@@ -301,6 +304,47 @@ def test_sweep_rejects_zero_samples(capsys):
 )
 def test_usage_errors_are_one_error_line(capsys, argv, problem):
     assert problem in run_error(capsys, *argv)
+
+
+def untimed(report: dict) -> dict:
+    report.pop("wall_time_s")
+    for entry in report["results"]:
+        entry.pop("elapsed_s", None)
+    return report
+
+
+def fresh_report(argv: list[str]) -> dict:
+    """The untimed ``--json`` report of ``argv`` run in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    command = [sys.executable, "-m", "fixedposit.cli", *argv]
+    run = subprocess.run(command, capture_output=True, text=True, check=True, env=env)
+    return untimed(json.loads(run.stdout))
+
+
+def test_one_parser_serves_interleaved_commands(capsys):
+    # main builds its parser once per process: no parse, failed or not, may
+    # leave state that changes the next one.
+    good = [
+        ["workload", "--name", "dot", "--fmt", "18,6,2", "--size", "8", "--json"],
+        ["sweep", "--fmt", "24,6,2", "--samples", "100", "--json"],
+    ]
+    fresh = [fresh_report(argv) for argv in good]
+    errors = [
+        (("workload", "--name", "dot"), "one of the arguments --fmt --sweep-widths is required"),
+        (("sweep", "--fmt", "24,6,2", "--sample", "10"), "unrecognized arguments: --sample 10"),
+        (("convert", "--fmt", "32,6,2", "--value", "0x"), "argument --value: not a decimal value"),
+    ]
+    for _ in range(2):
+        for argv, problem in errors:
+            assert problem in run_error(capsys, *argv)
+            with pytest.raises(SystemExit) as version:
+                main(["--version"])
+            assert version.value.code == 0
+            assert capsys.readouterr().out == f"fixedposit {__version__}\n"
+            for command, expected in zip(good, fresh):
+                code, out, err = run_cli(capsys, *command)
+                assert code == 0, err
+                assert untimed(json.loads(out)) == expected
 
 
 def test_sweep_all_widths(capsys):

@@ -141,8 +141,8 @@ def test_tracing_mul_counts_and_records():
 
 
 def test_substituted_mul_quantises_each_operand_once(monkeypatch):
-    # A gemm rank-1 step quantises a 200-element column and a 200-element row,
-    # not the 2 x 40,000 lanes of their broadcast.
+    # A gemm rank-1 step quantises a 200-element column and a 200-element row
+    # in one pass over their 400 lanes, not the 2 x 40,000 lanes of their broadcast.
     quantised = []
     operand = batch._quantized_operand
 
@@ -155,7 +155,7 @@ def test_substituted_mul_quantises_each_operand_once(monkeypatch):
     a = np.ones((200, 200), np.float32)
     out = mul(a[:, 7:8], a[7, :])
     assert out.shape == (200, 200) and mul.count == 40_000
-    assert quantised == [200, 200]
+    assert quantised == [400]
 
 
 def test_trace_length_equals_mul_count():
