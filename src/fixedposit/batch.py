@@ -33,6 +33,24 @@ whose operands already had a rare lane goes there before multiplying.  The
 operand flush reads the unrounded bits, because rounding first would carry a
 subnormal such as ``0x807FFFFF`` into the normal ``-2**-126``.
 
+A call with rare product lanes but no rare operand keeps its binary32
+product where ``minpos**2 >= 2**(-126 - f)`` (``_Constants.clamps32``).  Of
+the formats that multiply in binary32, that is every one with ``min_scale >=
+-63``, exactly those with ``min_scale >= -75`` among ``n <= 10``, and no
+paper format, whose ``min_scale`` is -128.  There ``min_scale >= -69``, so the range test's low bound is
+``2**min_scale`` plus one ulp, a binary32 normal.  Each product ``p`` of two
+in-window operands is nonzero and lies in ``[minpos**2, maxpos**2]``.  A lane
+rounded past maxpos had ``p > maxpos``, since binary32 rounding and ``Q``'s
+rounding are monotone and maxpos is a value of both, so saturating it is
+``Q(p)``.  A nonzero lane rounded to at most ``2**min_scale`` either was
+exact there or was a binary32 subnormal below ``2**-126``; either way ``Q``
+takes ``p`` to the nudged minpos, as the clamp does.  And no lane rounds to
+zero: ``2**(-126 - f)``, the smallest nonzero subnormal at ``f`` fraction
+bits, is a value of both roundings and at most ``p``.  Where
+``minpos**2`` is smaller, a product can round to zero in binary32 and lose
+its nudge, as ``(1.5 * 2**-72)**2`` does at (14,3,9), so those calls still
+fall back.
+
 An ordinary lane pays only for rounding and one range test per stage: an
 unsigned compare on the binary32 bits finds the zero, subnormal, infinite
 and NaN operands, and one on the rounded magnitude's bits finds every value
@@ -50,7 +68,12 @@ since on a 0-d array the in-place ufuncs would return scalars.
 ``to_binary32_batch``), used by the sweeps.  The encode packs the value
 path's quantised operand: its binary64 exponent is the word's scale and its
 top ``f`` fraction bits are the word's fraction.  The decode splits a word's
-fields with the same array passes for every format.
+fields with the same array passes for every format.  Both work through
+input longer than ``BLOCK`` lanes one block at a time, into one output
+array (``_blockwise``): a block's temporaries stay in cache and are reused
+from malloc's free lists, where full-size ones were returned to the kernel
+and faulted in again for each array.  Every lane is converted on its own,
+so the output is the same bits.
 
 *Word-level multiply* (``mul_batch``).  A mirror of ``mul_datapath`` over
 int64 word patterns, pinned to it exhaustively.  It takes the value path's
@@ -123,6 +146,7 @@ class _Constants(NamedTuple):
 
     wide: _Rounding  # binary64
     narrow: _Rounding | None  # binary32, for formats whose products it holds exactly
+    clamps32: bool  # binary32 clamps rare products of in-window operands exactly
     minpos: float
     maxpos: float
     regimes: np.ndarray  # regime fields for k = -rs .. rs-1, shifted into place
@@ -143,10 +167,13 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
     # Two (f+1)-bit significands multiply to at most 24 bits, which binary32
     # holds, when f <= 11; maxpos is finite there when the window ends by 2**127.
     exact32 = f <= 11 and rng.max_scale <= 127
+    minpos = math.ldexp(1.0 + 2.0**-f, lo)
     return _Constants(
         wide=_rounding(np.float64, f, lo, maxpos),
         narrow=_rounding(np.float32, f, lo, maxpos) if exact32 else None,
-        minpos=math.ldexp(1.0 + 2.0**-f, lo),
+        # minpos**2 (exact) reaches the f-bit quantum of binary32's subnormals.
+        clamps32=exact32 and minpos * minpos >= math.ldexp(1.0, -126 - f),
+        minpos=minpos,
         maxpos=maxpos,
         regimes=regimes,
     )
@@ -187,11 +214,37 @@ def _pack(scale: np.ndarray, fraction: np.ndarray, fmt: FixedPositFormat) -> np.
     return mag
 
 
+# Lanes per block of a long conversion: 64 KiB of int64 or binary64, so a
+# block's temporaries stay in cache and are reused from malloc's free lists
+# instead of being returned to the kernel and faulted in again for each array.
+BLOCK = 8192
+
+
+def _blockwise(step, x: np.ndarray, fmt: FixedPositFormat, dtype: type) -> np.ndarray:
+    """``step(block, fmt)`` over the flattened ``x``, block by block, as one 1-d ``dtype`` array.
+
+    ``step`` maps a 1-d array to a 1-d array of its length, lane by lane.
+    Input that fits one block is passed whole.
+    """
+    flat = np.asarray(x).reshape(-1)
+    if flat.size <= BLOCK:
+        return step(flat, fmt)
+    out = np.empty(flat.size, dtype)
+    for start in range(0, flat.size, BLOCK):
+        out[start : start + BLOCK] = step(flat[start : start + BLOCK], fmt)
+    return out
+
+
 def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Vector version of codec.from_binary32; returns int64 word patterns."""
+    shape = np.shape(x_bits)
+    return _blockwise(_encode, x_bits, fmt, _I64).reshape(shape)
+
+
+def _encode(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
+    """``from_binary32_batch`` of a 1-d array, which the masked stores need."""
     n, f = fmt.n, fmt.fraction_bits
-    x32 = _bits_to_float32(x_bits)
-    bits = _operand(x32.reshape(-1), fmt).view(_I64)  # 1-d, so the masked stores work on 0-d input
+    bits = _operand(_bits_to_float32(x_bits), fmt).view(_I64)
     scale = ((bits >> 52) & 0x7FF) - 1023  # -1023 for zero, 1024 for NaN
     words = _pack(scale, (bits >> (52 - f)) & ((1 << f) - 1), fmt)
     sign = bits >> 63  # 0 or -1; negating is xor with -1, then adding 1
@@ -200,7 +253,7 @@ def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray
     words &= (1 << n) - 1
     words[scale == -1023] = 0
     words[scale == 1024] = 1 << (n - 1)
-    return words.reshape(x32.shape)
+    return words
 
 
 def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
@@ -213,8 +266,12 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     exact.
     """
     shape = np.shape(words)
-    # Not copied when already int64; 1-d, since on 0-d input the ufuncs would give scalars.
-    w = np.asarray(words).astype(_I64, copy=False).reshape(-1)
+    return _blockwise(_decode64, words, fmt, np.float64).reshape(shape)
+
+
+def _decode64(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
+    """``to_binary64_batch`` of a 1-d array, on which the ufuncs give arrays, not scalars."""
+    w = words.astype(_I64, copy=False)
     signed, scale, significand = _fields(w, fmt)
     scale -= fmt.fraction_bits
     with np.errstate(over="ignore"):
@@ -222,7 +279,7 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     np.copysign(value, signed, out=value)
     value[w == 0] = 0.0
     value[w == 1 << (fmt.n - 1)] = np.nan
-    return value.reshape(shape)
+    return value
 
 
 def to_binary32_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
@@ -351,7 +408,7 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
             # The operands stay intact for the fallback, so the product gets its own array.
             with np.errstate(over="ignore"):
                 product = np.multiply(qa, qb, out=np.empty(shape, np.float32)).reshape(-1)
-            if not _round_and_clamp(product, c):
+            if not _round_and_clamp(product, c) or c.clamps32:
                 return product.reshape(shape)
         qa, qb = qa.astype(np.float64), qb.astype(np.float64)  # exact
     # Writing into an operand of the full shape, when there is one, saves an array.

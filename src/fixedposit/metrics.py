@@ -30,7 +30,10 @@ class ErrorReport:
 
 
 def _compare(reference, approximation) -> tuple[np.ndarray, np.ndarray, float]:
-    """Flat float64 or complex128 reference (float64 is not copied), |ref - approx| and the MSE."""
+    """Flat float64 or complex128 reference (float64 is not copied), |ref - approx| and the MSE.
+
+    The error is a new array, which callers may overwrite.
+    """
     ref = np.asarray(reference)
     approx = np.asarray(approximation)
     if ref.shape != approx.shape:
@@ -40,7 +43,11 @@ def _compare(reference, approximation) -> tuple[np.ndarray, np.ndarray, float]:
     dtype = np.complex128 if np.iscomplexobj(ref) or np.iscomplexobj(approx) else np.float64
     ref = ref.astype(dtype, copy=False).ravel()
     approx = approx.astype(dtype, copy=False).ravel()
-    error = np.abs(ref - approx)
+    error = ref - approx
+    if dtype is np.float64:
+        np.abs(error, out=error)
+    else:
+        error = np.abs(error)
     return ref, error, float(np.mean(error**2))
 
 
@@ -72,10 +79,19 @@ def error_report(reference, approximation) -> ErrorReport:
     counted in ``skipped``; RMSE still includes every element.
     """
     ref, error, mse = _compare(reference, approximation)
-    usable = np.isfinite(ref) & (ref != 0)
+    usable = np.isfinite(ref)
+    usable &= ref != 0
     if not usable.all():  # a boolean index copies, so skip it when nothing is excluded
         ref, error = ref[usable], error[usable]
-    rel = 100.0 * error / np.abs(ref)
+    # The relative error takes the error's own array: for real x, |100e / x|
+    # is exactly 100e / |x|, since division rounds magnitudes alike.
+    rel = error
+    rel *= 100.0
+    if np.iscomplexobj(ref):
+        rel /= np.abs(ref)
+    else:
+        rel /= ref
+        np.abs(rel, out=rel)
     return ErrorReport(
         count=int(usable.size),
         max_rel_err_pct=float(rel.max()) if rel.size else 0.0,
@@ -117,7 +133,8 @@ def sweep_conversion_error(
     """Round-trip binary32 samples through ``fmt`` and aggregate the error.
 
     Samples are drawn at once from the seeded generator, converted to the
-    format and back to binary64 in one pass, and compared against the exact
+    format and back to binary64 (one call each, which works through
+    ``batch.BLOCK`` samples at a time), and compared against the exact
     sampled values, so a given seed always gives the same report.  A sweep
     over many formats uses the same samples for each, so the last draw of an
     integer seed is held, read-only, at 4 bytes per sample, until a call with

@@ -267,6 +267,49 @@ def test_scalar_conversions_give_0d_results(pattern):
     assert int(bits) == to_binary32(word)
 
 
+# Conversions of inputs longer than batch.BLOCK lanes run block by block.
+BLOCK = batch.BLOCK
+BLOCK_SHAPES = [(), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 5,), (5, 3001)]
+CONVERSION_SPECIALS = [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000, 0xFF800000,
+                       0x7FC00000, 0xFFC00001, 0x7F800001]  # +-0, subnormals, +-inf, NaNs
+
+
+def conversion_inputs(fmt: FixedPositFormat, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Binary32 patterns and fixed-posit words of ``shape``, specials spread through every block."""
+    size = math.prod(shape)
+    rng = np.random.default_rng(size)
+    bits = rng.integers(0, 1 << 32, size, dtype=np.int64)
+    words = rng.integers(0, 1 << fmt.n, size, dtype=np.int64)
+    at = rng.permutation(size)[: 2 * len(CONVERSION_SPECIALS)]
+    bits[at] = np.resize(CONVERSION_SPECIALS, at.size)
+    words[at] = np.resize([0, 1 << (fmt.n - 1)], at.size)  # zero and NaR
+    if size > BLOCK:  # and in the last and first lanes of a block
+        bits[[BLOCK - 1, BLOCK]], words[[BLOCK - 1, BLOCK]] = 0x7FC00000, 1 << (fmt.n - 1)
+    return bits.reshape(shape), words.reshape(shape)
+
+
+@pytest.mark.parametrize("fmt", [F1862, FixedPositFormat(32, 6, 2), FixedPositFormat(12, 2, 3)],
+                         ids=str)
+def test_conversions_in_blocks_match_scalar_and_one_block(fmt, monkeypatch):
+    for shape in BLOCK_SHAPES:
+        for dtype in (np.uint32, np.int64):
+            bits, words = (x.astype(dtype) for x in conversion_inputs(fmt, shape))
+            kept = bits.copy(), words.copy()
+            bits.flags.writeable = words.flags.writeable = False
+            got = batch.from_binary32_batch(bits, fmt), batch.to_binary64_batch(words, fmt)
+            assert [g.dtype for g in got] == [np.int64, np.float64]
+            assert all(isinstance(g, np.ndarray) and g.shape == shape for g in got)
+            assert np.array_equal(bits, kept[0]) and np.array_equal(words, kept[1])
+            with monkeypatch.context() as m:
+                m.setattr(batch, "BLOCK", bits.size)  # the whole input as one block
+                whole = batch.from_binary32_batch(bits, fmt), batch.to_binary64_batch(words, fmt)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, whole)), (shape, dtype)
+        encoded = [from_binary32(int(b), fmt).bits for b in bits.flat]
+        decoded = [to_binary64(PositWord(int(w), fmt)) for w in words.flat]
+        assert got[0].ravel().tolist() == encoded, shape
+        assert got[1].ravel().tobytes() == np.array(decoded, np.float64).tobytes(), shape
+
+
 def broadcast_first_mul(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The substituted multiply quantising every broadcast lane, as it was composed before.
 
@@ -602,6 +645,76 @@ def test_gemm_rank1_step_takes_the_binary32_path_and_falls_back_once(monkeypatch
         expected = broadcast_first_mul(F1862, a[:, k:k + 1], a[k, :])
         assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
     assert out[3, 5] == np.float32(2.0**-127)  # inside the window, below binary32's normals
+
+
+# A call with rare product lanes but no rare operand keeps its binary32
+# product where the smallest product of in-window operands, minpos**2, reaches
+# 2**(-126 - f), the smallest nonzero binary32 subnormal at f fraction bits.
+def clamps_in_binary32(fmt: FixedPositFormat) -> bool:
+    f = fmt.fraction_bits
+    # Below 2**-200 the square is far below 2**-137; the cap keeps the Fraction small.
+    minpos = Fraction(2 ** f + 1, 2**f) * Fraction(2) ** max(scale_range(fmt).min_scale, -200)
+    return binary32_exact(fmt) and minpos**2 >= Fraction(1, 2 ** (126 + f))
+
+
+def test_binary32_clamp_is_enabled_exactly_where_no_product_rounds_to_zero():
+    for fmt in all_fixed_formats(32):
+        assert batch._constants(fmt).clamps32 == clamps_in_binary32(fmt), fmt
+        if scale_range(fmt).min_scale >= -63:
+            assert batch._constants(fmt).clamps32 == binary32_exact(fmt), fmt
+    assert not any(batch._constants(fmt).clamps32 for fmt in paper_formats())
+    assert batch._constants(FixedPositFormat(12, 2, 3)).clamps32
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_rare_products_of_in_window_operands_stay_in_binary32_where_they_clamp_exactly(
+    n, monkeypatch
+):
+    # Every signed value of the format that is a binary32 normal, times every
+    # one, in one call.  No operand is rare, and products past maxpos make
+    # rare lanes in every format; so do products below 2**-126.
+    wide = rounded_in_binary64(monkeypatch)
+    for fmt in all_fixed_formats(n, min_n=n):
+        values = batch.to_binary64_batch(np.arange(1, 1 << (n - 1)), fmt)
+        values = values[values >= 2.0**-126].astype(np.float32)
+        a = np.concatenate([values, -values])
+        expected = broadcast_first_mul(fmt, a[:, None], a[None, :])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide.clear()
+            got = batch.mul_float32_batch(fmt, a[:, None], a[None, :])
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32)), fmt
+        # For n <= 10 the formats that clamp in binary32 are those with min_scale >= -75.
+        in_binary32 = scale_range(fmt).min_scale >= -75
+        assert batch._constants(fmt).clamps32 == in_binary32, fmt
+        assert wide == ([] if in_binary32 else [a.size**2]), fmt
+    if n == 10:  # min_scale -96: products of the smallest operands round to zero in binary32
+        assert not batch._constants(FixedPositFormat(10, 5, 3)).clamps32
+
+
+def test_gaussian_outer_product_at_12_2_3_clamps_in_binary32(monkeypatch):
+    # Underflowing products are common at (12,2,3), whose window is (2**-12, 2**12).
+    fmt = FixedPositFormat(12, 2, 3)
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((200, 1)).astype(np.float32)
+    b = rng.standard_normal(200).astype(np.float32)
+    wide = rounded_in_binary64(monkeypatch)
+    got = batch.mul_float32_batch(fmt, a, b)
+    assert wide == []
+    expected = broadcast_first_mul(fmt, a, b)
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+    assert (np.abs(got) == batch._constants(fmt).minpos).any()  # some lanes are nudged
+
+
+def test_product_that_binary32_rounds_to_zero_falls_back():
+    # At (14,3,9), min_scale -72: (1.5 * 2**-72)**2 is a binary32 subnormal that
+    # rounds to zero at one fraction bit, so a binary32 clamp would give +0, not
+    # minpos.  min_scale >= -75 alone would not keep this call off binary32.
+    fmt = FixedPositFormat(14, 3, 9)
+    assert batch._constants(fmt).narrow is not None and not batch._constants(fmt).clamps32
+    x = np.float32([1.5 * 2.0**-72, -1.5 * 2.0**-72, 3.0])
+    got = checked_mul(fmt, x, x[::-1].copy())
+    assert got[1] == np.float32(batch._constants(fmt).minpos)
 
 
 # mul_float32_batch rounds both operands in one pass over a buffer of its own.

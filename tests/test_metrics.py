@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -112,6 +114,61 @@ def test_error_report_on_complex_values():
     assert report.rmse == 1.0
     report = error_report([0j, 1j, complex(math.inf, 0)], [1j, 1.5j, 0j])
     assert (report.count, report.skipped, report.max_rel_err_pct) == (3, 2, 50.0)
+
+
+def relative_error_by_formula(reference, approximation) -> tuple[float, float]:
+    """Max and mean of ``100 * abs(x - y) / abs(x)`` over references that are finite and nonzero."""
+    x, y = np.asarray(reference).ravel(), np.asarray(approximation).ravel()
+    usable = np.isfinite(x) & (x != 0)
+    rel = 100 * abs(x - y)[usable] / abs(x[usable])
+    return rel.max(), rel.mean()
+
+
+def error_report_cases() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(3000) * 2.0 ** rng.integers(-60, 60, 3000)  # both signs
+    y = x * (1 + rng.standard_normal(3000) * 1e-3)
+    bad_y = y.copy()
+    bad_y[[5, 6, 7, 2000]] = [np.nan, np.inf, -np.inf, np.nan]
+    bad_x = x.copy()
+    bad_x[[1, 2, 3, 4, 2999]] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    z = x + 1j * rng.standard_normal(3000)
+    return {
+        "real": (x, y),
+        "non-finite approximations": (x, bad_y),
+        "skipped references": (bad_x, y),
+        "complex": (z, z * (1 + 1e-3j)),
+        "complex skipped": (np.where(np.isfinite(bad_x) & (bad_x != 0), z, bad_x), z * (1 - 1e-3j)),
+    }
+
+
+@pytest.mark.parametrize("case", error_report_cases())
+def test_error_report_equals_the_formula_and_leaves_its_inputs_alone(case):
+    x, y = error_report_cases()[case]
+    kept = x.tobytes(), y.tobytes()  # x float64 and contiguous: _compare does not copy it
+    report = error_report(x, y)
+    assert (x.tobytes(), y.tobytes()) == kept
+    want_max, want_mean = relative_error_by_formula(x, y)
+    assert np.float64(report.max_rel_err_pct).tobytes() == want_max.tobytes()
+    assert np.float64(report.mean_rel_err_pct).tobytes() == want_mean.tobytes()
+    assert report.skipped == np.count_nonzero(~(np.isfinite(x) & (x != 0)))
+    assert np.float64(report.rmse).tobytes() == np.float64(rmse(x, y)).tobytes()
+
+
+@pytest.mark.parametrize("triple", [(18, 6, 2), (32, 6, 2)])
+def test_sweep_peak_memory_per_sample(triple):
+    # With the draw held, a 100k-sample sweep allocates at its peak the reference,
+    # the round trip, the error and its square: 32 bytes per sample.
+    fmt = FixedPositFormat(*triple)
+    sweep_conversion_error(fmt, 100_000, 67)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sweep_conversion_error(fmt, 100_000, 67)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 100_000 < 40
 
 
 def test_error_report_serializes_stably():
