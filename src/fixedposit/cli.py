@@ -393,8 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             print(json.dumps(report, indent=2))
     # OSError includes a closed output pipe; MemoryError, an array too large to allocate.
+    # Python's own MemoryError, from an int too large to build, carries no message.
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        blank = "out of memory" if isinstance(exc, MemoryError) else ""
+        print(f"error: {str(exc) or blank}", file=sys.stderr)
         return 2
     return 0
 

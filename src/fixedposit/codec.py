@@ -5,6 +5,9 @@ two's complement of the whole n-bit word, so decoding first negates and
 then splits the magnitude into regime / exponent / fraction fields.  The
 regime field is a run of identical bits padded with complement bits: a run
 of m leading zeros means k = -m, a run of m leading ones means k = m - 1.
+The encoder saturates at the window of scales the format carries
+(``fmt.min_scale``, ``fmt.max_scale``).  A decoded value is a
+``DecodedNumber`` tuple.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .formats import FixedPositFormat, PositFormat, scale_range
+from .formats import FixedPositFormat, PositFormat
 
 
 class NumberClass(Enum):
@@ -49,8 +52,7 @@ class PositWord:
         return f"0x{self.bits:0{width}x}"
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedNumber:
+class DecodedNumber(NamedTuple):
     """Classified value of a word: Zero, NaR, or an exact sign/scale/significand.
 
     For a normal number the value is
@@ -162,10 +164,9 @@ def encode(
     if sig == 2 << f:
         sig >>= 1
         scale += 1
-    rng = scale_range(fmt)
-    if scale > rng.max_scale:
+    if scale > fmt.max_scale:
         mag = (1 << (n - 1)) - 1
-    elif scale < rng.min_scale:
+    elif scale < fmt.min_scale:
         mag = 1
     else:
         k = scale >> es
@@ -216,9 +217,11 @@ def exact_mul(
     arguments, rounds and packs the product.
     """
     fmt = a.fmt
-    if a.is_nar or b.is_nar:
+    a_bits, b_bits = a.bits, b.bits
+    nar = 1 << (fmt.n - 1)
+    if a_bits == nar or b_bits == nar:
         return nar_word(fmt)
-    if a.is_zero or b.is_zero:
+    if a_bits == 0 or b_bits == 0:
         return zero_word(fmt)
     da, db = decoder(a), decoder(b)
     product = da.significand * db.significand

@@ -1,9 +1,13 @@
-"""Format descriptors and the binary32-range-equivalent configuration search."""
+"""Format descriptors and the binary32-range-equivalent configuration search.
+
+A ``FixedPositFormat`` works out its fraction width and its window of
+scales, ``[min_scale, max_scale]``, once when it is built; the codec and the
+multiplier read them per word as plain attributes.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
 
 # A regime/exponent budget of rs * 2**es = 128 gives the scale range
 # [-128, 127], which covers the binary32 normal exponents -126..+127.
@@ -26,12 +30,18 @@ class FixedPositFormat:
     """A fixed-posit layout: ``n`` total bits, ``es`` exponent bits, ``rs`` regime bits.
 
     The sign takes one bit and the fraction gets whatever remains, so a
-    configuration is usable only when ``n - 1 - rs - es >= 1``.
+    configuration is usable only when ``n - 1 - rs - es >= 1``.  The scales
+    ``k * 2**es + e`` with ``k`` in ``[-rs, rs-1]`` and ``e`` in ``[0, 2**es)``
+    make up the window ``[min_scale, max_scale]``.  The three derived fields
+    take no part in ``==``, ``hash`` or ``repr``.
     """
 
     n: int
     es: int
     rs: int
+    fraction_bits: int = field(init=False, repr=False, compare=False)
+    min_scale: int = field(init=False, repr=False, compare=False)
+    max_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 4:
@@ -40,14 +50,13 @@ class FixedPositFormat:
             raise ValueError(f"exponent field width cannot be negative, got {self.es}")
         if self.rs < 1:
             raise ValueError(f"regime field needs at least 1 bit, got {self.rs}")
-        if self.fraction_bits < 1:
-            raise ValueError(
-                f"({self.n},{self.es},{self.rs}) leaves {self.fraction_bits} fraction bits"
-            )
-
-    @property
-    def fraction_bits(self) -> int:
-        return self.n - 1 - self.rs - self.es
+        f = self.n - 1 - self.rs - self.es
+        if f < 1:
+            raise ValueError(f"({self.n},{self.es},{self.rs}) leaves {f} fraction bits")
+        span = self.rs << self.es
+        object.__setattr__(self, "fraction_bits", f)
+        object.__setattr__(self, "min_scale", -span)
+        object.__setattr__(self, "max_scale", span - 1)
 
     def __str__(self) -> str:
         return f"({self.n},{self.es},{self.rs})"
@@ -70,15 +79,9 @@ class PositFormat:
         return f"({self.n},{self.es})"
 
 
-@cache
 def scale_range(fmt: FixedPositFormat) -> ScaleRange:
-    """Scales k * 2**es + e reachable with k in [-rs, rs-1] and e in [0, 2**es).
-
-    Memoised per format: the codec and the multiplier ask once per word, and
-    a frozen format always has the same range.
-    """
-    step = 1 << fmt.es
-    return ScaleRange(-fmt.rs * step, fmt.rs * step - 1)
+    """The window of scales ``fmt`` carries, as a ``ScaleRange``."""
+    return ScaleRange(fmt.min_scale, fmt.max_scale)
 
 
 def enumerate_ieee_equivalent(n: int) -> list[FixedPositFormat]:

@@ -24,7 +24,7 @@ from .codec import (
     to_binary32,
     zero_word,
 )
-from .formats import FixedPositFormat, scale_range
+from .formats import FixedPositFormat
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,10 +121,9 @@ def _datapath(a: PositWord, b: PositWord) -> tuple[PositWord, tuple[int, ...] | 
         kept >>= 1
         result_scale += 1
 
-    rng = scale_range(fmt)
-    if result_scale > rng.max_scale:
+    if result_scale > fmt.max_scale:
         mag_c = (1 << (n - 1)) - 1
-    elif result_scale < rng.min_scale:
+    elif result_scale < fmt.min_scale:
         mag_c = 1
     else:
         k_c = result_scale >> es

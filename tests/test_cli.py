@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fixedposit import __version__
+from fixedposit import __version__, cli
 from fixedposit.cli import main
 from fixedposit.formats import paper_formats
 from fixedposit.workloads import synthetic_image, write_pgm
@@ -480,6 +480,23 @@ def test_refused_allocation_is_one_error_line(capsys, argv, size):
     # is refused before it touches a page.
     error = run_error(capsys, *argv)
     assert error.startswith(f"error: Unable to allocate {size}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--fmt", "8,2,2", "--value", "1"),
+        ("mul", "--fmt", "8,2,2", "--a", "1", "--b", "1"),
+    ],
+    ids=["convert", "mul"],
+)
+def test_blank_memory_error_is_named(capsys, monkeypatch, argv):
+    # Python's own MemoryError, as from an int of a 10**11-bit word, has no message.
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "from_binary32", out_of_memory)
+    assert run_error(capsys, *argv) == "error: out of memory"
 
 
 @pytest.mark.parametrize(

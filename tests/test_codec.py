@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedposit import (
+    DecodedNumber,
     FixedPositFormat,
     NumberClass,
+    PositFormat,
     PositWord,
     decode,
     encode,
@@ -16,6 +18,7 @@ from fixedposit import (
     bits32_to_float,
     from_binary32,
     nar_word,
+    posit_decode,
     to_binary32,
     to_binary64,
     zero_word,
@@ -63,6 +66,34 @@ def test_word_must_fit_its_width(bits):
 def test_decode_negative_is_twos_complement():
     assert to_binary64(PositWord(0xC0, F822)) == -1.0
     assert from_binary32(float_to_bits32(1.0), F822).bits == 0x40
+
+
+@pytest.mark.parametrize(
+    "fmt, decoder",
+    [(F822, decode), (PositFormat(8, 2), posit_decode)],
+    ids=["fixed-posit", "posit"],
+)
+def test_decoded_numbers_are_immutable_hashable_values(fmt, decoder):
+    assert tuple(DecodedNumber(NumberClass.ZERO)) == (NumberClass.ZERO, 1, 0, 1, 0)
+    nar = 1 << (fmt.n - 1)
+    for bits in range(1 << fmt.n):
+        d = decoder(PositWord(bits, fmt))
+        fields = (d.klass, d.sign, d.scale, d.significand, d.fraction_bits)
+        same = DecodedNumber(*fields)
+        assert d == same and hash(d) == hash(same) and d in {same}
+        assert (d.is_zero, d.is_nar) == (bits == 0, bits == nar)
+        for name in ("klass", "sign", "scale", "significand", "fraction_bits"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, 0)
+        if bits in (0, nar):
+            # Zero and NaR keep the defaults.
+            assert d == DecodedNumber(NumberClass.ZERO if bits == 0 else NumberClass.NAR)
+        if bits == nar:
+            with pytest.raises(ValueError, match="NaR has no rational value"):
+                d.exact_value()
+        else:
+            value = d.sign * Fraction(d.significand, 2**d.fraction_bits) * Fraction(2) ** d.scale
+            assert d.exact_value() == (0 if bits == 0 else value)
 
 
 # --- encode -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from fixedposit import (
     scale_range,
 )
 from fixedposit.formats import paper_formats
+
+from support import all_fixed_formats
 
 # The 38 configurations whose scale range matches binary32: widths 22..32
 # carry es 3..7, widths 18 and 20 lose the es=3 row to the fraction-bit rule.
@@ -28,14 +32,42 @@ def test_validate_examples():
 
 
 def test_validate_rejects_degenerate_fields():
-    with pytest.raises(ValueError):
-        FixedPositFormat(3, 0, 1)
-    with pytest.raises(ValueError):
-        FixedPositFormat(8, -1, 2)
-    with pytest.raises(ValueError):
-        FixedPositFormat(8, 2, 0)
-    with pytest.raises(ValueError):
-        FixedPositFormat(8, 4, 3)  # zero fraction bits
+    for triple, message in [
+        ((3, 0, 1), "total width must be at least 4 bits, got 3"),
+        ((8, -1, 2), "exponent field width cannot be negative, got -1"),
+        ((8, 2, 0), "regime field needs at least 1 bit, got 0"),
+        ((8, 4, 3), "(8,4,3) leaves 0 fraction bits"),
+        ((18, 3, 16), "(18,3,16) leaves -2 fraction bits"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            FixedPositFormat(*triple)
+        assert str(info.value) == message
+
+
+def test_every_format_up_to_40_bits_carries_its_window_and_stays_a_value():
+    formats = all_fixed_formats(40)
+    for fmt in formats:
+        n, es, rs = fmt.n, fmt.es, fmt.rs
+        assert (fmt.fraction_bits, fmt.min_scale, fmt.max_scale) == (
+            n - 1 - rs - es,
+            -rs * 2**es,
+            rs * 2**es - 1,
+        )
+        # The derived fields take no part in a format's identity or spelling.
+        assert repr(fmt) == f"FixedPositFormat(n={n}, es={es}, rs={rs})"
+        assert str(fmt) == f"({n},{es},{rs})"
+        assert fmt == FixedPositFormat(n, es, rs) and hash(fmt) == hash((n, es, rs))
+        for name in ("n", "fraction_bits", "min_scale", "max_scale"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fmt, name, 1)
+    assert FixedPositFormat.__match_args__ == ("n", "es", "rs")
+    assert len(set(formats)) == len(formats)
+    # Every other triple of these widths leaves no fraction bit.
+    for n in range(4, 41):
+        for es in range(n):
+            for rs in range(max(1, n - 1 - es), n):
+                with pytest.raises(ValueError, match=r"^\(.*\) leaves -?\d+ fraction bits$"):
+                    FixedPositFormat(n, es, rs)
 
 
 def test_scale_range_examples():

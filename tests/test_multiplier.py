@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from fixedposit import (
     to_binary64,
     zero_word,
 )
-from fixedposit import batch
+from fixedposit import batch, codec, formats, multiplier
 from fixedposit.codec import round_to_nearest_even
 
 from support import all_fixed_formats
@@ -334,3 +336,46 @@ def test_reference_multiplier_saturation_and_sign():
     assert mul_reference(top, top).bits == top.bits
     neg = encode(-1, rng.max_scale, 1, 0, fmt)
     assert decode(mul_reference(neg, top)).sign == -1
+
+
+# --- the two multipliers stay independent -------------------------------------
+
+
+def forbid(monkeypatch, owner, name):
+    """Make every binding of ``owner.name`` in a fixedposit module raise."""
+    original = getattr(owner, name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "fixedposit" or mod_name.startswith("fixedposit."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, forbidden)
+
+
+INDEPENDENT_FORMATS = [F822, FixedPositFormat(7, 1, 4)]
+
+
+def every_pair(fmt):
+    words = [PositWord(bits, fmt) for bits in range(1 << fmt.n)]
+    return [(a, b) for a in words for b in words]
+
+
+@pytest.mark.parametrize("fmt", INDEPENDENT_FORMATS, ids=str)
+def test_datapath_calls_no_codec_function(monkeypatch, fmt):
+    pairs = every_pair(fmt)
+    expected = [mul_datapath(a, b).bits for a, b in pairs]
+    for owner, name in [(codec, "decode"), (codec, "encode"), (codec, "_regime_k"),
+                        (codec, "_regime_field"), (formats, "scale_range")]:
+        forbid(monkeypatch, owner, name)
+    assert [mul_datapath(a, b).bits for a, b in pairs] == expected
+
+
+@pytest.mark.parametrize("fmt", INDEPENDENT_FORMATS, ids=str)
+def test_reference_does_not_call_the_datapath(monkeypatch, fmt):
+    pairs = every_pair(fmt)
+    expected = [mul_reference(a, b).bits for a, b in pairs]
+    forbid(monkeypatch, multiplier, "_datapath")
+    assert [mul_reference(a, b).bits for a, b in pairs] == expected
