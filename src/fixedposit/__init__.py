@@ -27,10 +27,8 @@ from .formats import (
     SWEEP_WIDTHS,
     FixedPositFormat,
     PositFormat,
-    ScaleRange,
     enumerate_ieee_equivalent,
     parse_fixed_posit,
-    scale_range,
 )
 from .metrics import (
     ErrorReport,
@@ -83,10 +81,8 @@ __all__ = [
     "SWEEP_WIDTHS",
     "FixedPositFormat",
     "PositFormat",
-    "ScaleRange",
     "enumerate_ieee_equivalent",
     "parse_fixed_posit",
-    "scale_range",
     "ErrorReport",
     "error_report",
     "psnr_db",

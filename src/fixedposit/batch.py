@@ -96,11 +96,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import _regime_field
-from .formats import FixedPositFormat, scale_range
+from .codec import QNAN32, _regime_field
+from .formats import FixedPositFormat
 
 _I64 = np.int64
-_QNAN32 = 0x7FC00000  # NaR as binary32
 
 
 class _Rounding(NamedTuple):
@@ -157,16 +156,15 @@ def _constants(fmt: FixedPositFormat) -> _Constants:
     if fmt.n > 32:
         raise ValueError(f"batch codec carries at most 32-bit words, got {fmt}")
     es, rs, f = fmt.es, fmt.rs, fmt.fraction_bits
-    rng = scale_range(fmt)
     # Values reaching the value path lie within 2**+-260, so a window wider than
     # 2**+-1000 saturates nothing; clamping keeps its bounds finite.
-    lo, hi = max(rng.min_scale, -1000), min(rng.max_scale, 1000)
+    lo, hi = max(fmt.min_scale, -1000), min(fmt.max_scale, 1000)
     maxpos = math.ldexp(2.0 - 2.0**-f, hi)
     regimes = np.array([_regime_field(k, rs) for k in range(-rs, rs)], _I64) << (es + f)
     regimes.flags.writeable = False  # every caller shares it
     # Two (f+1)-bit significands multiply to at most 24 bits, which binary32
     # holds, when f <= 11; maxpos is finite there when the window ends by 2**127.
-    exact32 = f <= 11 and rng.max_scale <= 127
+    exact32 = f <= 11 and fmt.max_scale <= 127
     minpos = math.ldexp(1.0 + 2.0**-f, lo)
     return _Constants(
         wide=_rounding(np.float64, f, lo, maxpos),
@@ -313,8 +311,7 @@ def mul_batch(a_words: np.ndarray, b_words: np.ndarray, fmt: FixedPositFormat) -
     # carry bumps the scale.  Its clamp is _round_and_clamp's [minpos, maxpos],
     # which leaves out (min_scale, 0), the zero word.
     pair = ((scale_a + scale_b + carry - 1) << f) + product
-    rng = scale_range(fmt)
-    pair = np.clip(pair, (rng.min_scale << f) + 1, ((rng.max_scale + 1) << f) - 1)
+    pair = np.clip(pair, (fmt.min_scale << f) + 1, ((fmt.max_scale + 1) << f) - 1)
 
     mag = _pack(pair >> f, pair & ((1 << f) - 1), fmt)
     words = np.where((signed_a ^ signed_b) < 0, (-mag) & ((1 << n) - 1), mag)
@@ -376,7 +373,7 @@ def _quantized_operand(
     if np.count_nonzero(rare):
         # Zeros and subnormals flush to +0; infinities and NaNs become one quiet
         # NaN, so no signalling NaN reaches a cast.
-        fixed = np.where(offset < np.uint32(1 << 31), np.uint32(_QNAN32), np.uint32(0))
+        fixed = np.where(offset < np.uint32(1 << 31), np.uint32(QNAN32), np.uint32(0))
         flat = np.where(rare, fixed, flat.view(np.uint32)).view(np.float32)
     values = flat.astype(dtype, copy=False)
     return values, _round_and_clamp(values, _constants(fmt))
@@ -418,7 +415,7 @@ def mul_float32_batch(fmt: FixedPositFormat, a: np.ndarray, b: np.ndarray) -> np
     with np.errstate(over="ignore"):  # maxpos past binary32's range casts to inf
         out = product.astype(np.float32)
     if rare:  # NaN sign and payload vary by platform
-        out.view(np.uint32)[np.isnan(out)] = _QNAN32
+        out.view(np.uint32)[np.isnan(out)] = QNAN32
     return out.reshape(shape)
 
 

@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags (seeds default to a fixed
 constant), and ``--json`` swaps the human-readable tables for a stable
-machine-readable report.
+machine-readable report.  ``workload --fmt`` takes a list of formats and
+reports one entry for each, in order.
 """
 
 from __future__ import annotations
@@ -12,23 +13,22 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .codec import (
+    QNAN32,
     PositWord,
     decode,
     float_to_bits32,
     from_binary32,
 )
 from .formats import (
-    SWEEP_WIDTHS,
     FixedPositFormat,
     enumerate_ieee_equivalent,
     paper_formats,
     parse_fixed_posit,
-    scale_range,
 )
 from .metrics import DISTRIBUTIONS, sweep_conversion_error
 from .multiplier import mul_datapath_traced
@@ -76,7 +76,7 @@ def _binary32_arg(text: str) -> int:
     """A value flag as a binary32 pattern: decimal float, 0xHEX pattern, nan or inf."""
     lowered = text.lower()
     if lowered in ("nan", "+nan", "-nan"):
-        return 0x7FC00000
+        return QNAN32
     try:
         bits = int(lowered, 16) if lowered.startswith("0x") else float_to_bits32(float(text))
     except ValueError:
@@ -144,21 +144,20 @@ def _fmt_arg(text: str) -> FixedPositFormat:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _workload_fmt_arg(text: str) -> FixedPositFormat | str:
-    """A format, or ``reference``: the run with native binary32 multiplies."""
-    return text if text == "reference" else _fmt_arg(text)
+def _workload_fmt_arg(text: str) -> FixedPositFormat | None:
+    """A format, or ``reference`` (``None``): the run with native binary32 multiplies."""
+    return None if text == "reference" else _fmt_arg(text)
 
 
 def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
     rows = paper_formats() if args.all_paper_widths else enumerate_ieee_equivalent(args.width)
     for fmt in rows:
-        rng = scale_range(fmt)
         report["results"].append(
             {
                 "format": _fmt_triple(fmt),
                 "fraction_bits": fmt.fraction_bits,
-                "min_scale": rng.min_scale,
-                "max_scale": rng.max_scale,
+                "min_scale": fmt.min_scale,
+                "max_scale": fmt.max_scale,
             }
         )
     if not args.json:
@@ -242,45 +241,37 @@ def cmd_sweep(args: argparse.Namespace, report: dict) -> None:
 
 
 def cmd_workload(args: argparse.Namespace, report: dict) -> None:
-    # args.fmt is a format or "reference", the run with native multiplies.
-    formats = [args.fmt] if args.fmt else [FixedPositFormat(w, 6, 2) for w in SWEEP_WIDTHS]
+    # args.fmt lists the formats in order; None is the reference run, with native multiplies.
     image = read_pgm(args.image) if args.image else None
     report["workload"] = args.name
-    for fmt in formats:
+    for fmt in args.fmt:
         result, trace = run_workload(
             args.name,
-            None if fmt == "reference" else fmt,
+            fmt,
             size=args.size,
             seed=args.seed,
             record_trace=bool(args.trace_out),
             image=image,
         )
-        entry = {
-            "kind": "workload_result",
-            "workload": result.workload,
-            "format": fmt if fmt == "reference" else _fmt_triple(fmt),
-            "size": result.size,
-            "seed": result.seed,
-            "primary_metric": result.primary_metric,
-            "quality": result.quality,
-            "metrics": result.metrics,
-            "mul_count": result.mul_count,
-            "elapsed_s": result.elapsed_s,
-        }
+        # Shallow: asdict would deep-copy every field, the format included.
+        entry = {"kind": "workload_result"}
+        entry.update((field.name, getattr(result, field.name)) for field in fields(result))
+        entry["format"] = "reference" if fmt is None else _fmt_triple(fmt)
         report["results"].append(entry)
         if trace is not None:
             path = args.trace_out
-            if args.sweep_widths:  # one file per format, or each would overwrite the last
+            if len(args.fmt) > 1:  # one file per format, or each would overwrite the last
+                label = "reference" if fmt is None else f"{fmt.n}_{fmt.es}_{fmt.rs}"
                 out = Path(path)
-                path = str(out.with_name(f"{out.stem}-{fmt.n}_{fmt.es}_{fmt.rs}{out.suffix}"))
+                path = str(out.with_name(f"{out.stem}-{label}{out.suffix}"))
             trace.save(path)
             entry["trace_file"] = path
             entry["trace_len"] = len(trace)
     if not args.json:
         print(f"{'format':>12} {'metric':>18} {'quality':>14} {'muls':>10}")
-        for fmt, entry in zip(formats, report["results"]):
+        for fmt, entry in zip(args.fmt, report["results"]):
             print(
-                str(fmt).rjust(12)
+                str(fmt or "reference").rjust(12)
                 + entry["primary_metric"].rjust(19)
                 + f"{entry['quality']:>15.6g}"
                 + f"{entry['mul_count']:>11}"
@@ -346,17 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_work = sub.add_parser("workload", help="run a multiply-substitution workload")
     p_work.add_argument("--name", required=True, choices=WORKLOAD_NAMES)
-    group = p_work.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fmt", type=_workload_fmt_arg, help="format as N,es,rs, or 'reference'")
-    group.add_argument(
-        "--sweep-widths",
-        action="store_true",
-        help="run (N,6,2) for every width in 18..32 (even)",
+    p_work.add_argument(
+        "--fmt",
+        required=True,
+        nargs="+",
+        action="extend",
+        type=_workload_fmt_arg,
+        help="one or more formats, each N,es,rs or 'reference'; a repeated --fmt adds more",
     )
     p_work.add_argument("--size", type=_count_arg, default=None, help="workload size parameter")
     p_work.add_argument(
         "--trace-out",
-        help="write the operand trace to this file; --sweep-widths writes STEM-N_es_rs.SUFFIX",
+        help="write the operand trace to this file; several formats write STEM-LABEL.SUFFIX each",
     )
     p_work.add_argument("--image", help="8-bit PGM input image (sobel only)")
     _add_common(p_work)

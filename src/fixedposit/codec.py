@@ -21,6 +21,8 @@ from typing import Callable, NamedTuple
 
 from .formats import FixedPositFormat, PositFormat
 
+QNAN32 = 0x7FC00000  # binary32's canonical quiet NaN, the pattern NaR converts to
+
 
 class NumberClass(Enum):
     ZERO = "zero"
@@ -257,7 +259,7 @@ def binary32_bits(d: DecodedNumber) -> int:
     if d.is_zero:
         return 0
     if d.is_nar:
-        return 0x7FC00000
+        return QNAN32
     s_bit = 0 if d.sign > 0 else 1 << 31
     exponent = max(d.scale, -126)
     if exponent > 127:

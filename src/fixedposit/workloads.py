@@ -315,10 +315,13 @@ def _kernel_mlp_forward(size: int, seed: int, mul: TracingMul) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class WorkloadResult:
-    """Quality of one kernel run against its binary32 reference run."""
+    """Quality of one kernel run against its binary32 reference run.
+
+    ``workload --json`` writes the fields as an entry's keys, in this order.
+    """
 
     workload: str
-    fmt: FixedPositFormat | None  # None marks the reference run
+    format: FixedPositFormat | None  # None marks the reference run
     size: int
     seed: int
     primary_metric: str
@@ -408,7 +411,7 @@ def run_workload(
     primary, stats = quality(ref_out, sub_out)
     result = WorkloadResult(
         workload=name,
-        fmt=fmt,
+        format=fmt,
         size=size,
         seed=seed,
         primary_metric=primary,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from fixedposit import FixedPositFormat, PositWord, decode, encode, scale_range
+from fixedposit import FixedPositFormat, PositWord, decode, encode
 
 
 def all_fixed_formats(max_n: int, min_n: int = 4) -> list[FixedPositFormat]:
@@ -30,9 +30,8 @@ def canonical_words(fmt: FixedPositFormat) -> list[int]:
     the ones that can, plus the zero word.
     """
     f, es = fmt.fraction_bits, fmt.es
-    rng = scale_range(fmt)
     positives = []
-    for scale in range(rng.min_scale, rng.max_scale + 1):
+    for scale in range(fmt.min_scale, fmt.max_scale + 1):
         for frac in range(1 << f):
             word = encode(1, scale, (1 << f) | frac, f, fmt)
             positives.append(word.bits)

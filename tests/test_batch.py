@@ -22,7 +22,6 @@ from fixedposit import (
     from_binary32,
     mul_binary32_bits,
     mul_datapath,
-    scale_range,
     to_binary32,
     to_binary64,
 )
@@ -129,7 +128,6 @@ def test_value_path_matches_word_path_exhaustively_small():
 def edge_operands(fmt: FixedPositFormat) -> np.ndarray:
     """Binary32 patterns at binary32's and the format's boundaries, both signs."""
     f = fmt.fraction_bits
-    rng = scale_range(fmt)
     fixed = [
         0x00000000, 0x7F800000, 0x7FC00000, 0x7FFFFFFF,  # zero, inf, quiet NaNs
         0x7F800001, 0x7FBFFFFF,  # signalling NaNs
@@ -137,9 +135,9 @@ def edge_operands(fmt: FixedPositFormat) -> np.ndarray:
         0x00800000, 0x7F7FFFFF,  # smallest and largest normal
     ]
     limits = [
-        math.ldexp(1.0, rng.min_scale),
-        math.ldexp(1.0 + 2.0**-f, rng.min_scale),  # minpos
-        math.ldexp(2.0 - 2.0**-f, rng.max_scale),  # maxpos
+        math.ldexp(1.0, fmt.min_scale),
+        math.ldexp(1.0 + 2.0**-f, fmt.min_scale),  # minpos
+        math.ldexp(2.0 - 2.0**-f, fmt.max_scale),  # maxpos
     ]
     values = limits + [math.sqrt(v) for v in limits]  # products of two straddle the limits
     values += [1.0, 1.0 + 2.0 ** -(f + 1), 1.0 + 3 * 2.0 ** -(f + 1)]  # ties to even, down and up
@@ -208,7 +206,7 @@ def test_special_operands_multiply_without_warnings(fmt):
 
 def binary32_overflow(fmt: FixedPositFormat) -> bool:
     """Whether maxpos rounds to infinity in binary32: it reaches the midpoint 2**128 - 2**103."""
-    f, hi = fmt.fraction_bits, scale_range(fmt).max_scale
+    f, hi = fmt.fraction_bits, fmt.max_scale
     return Fraction(2 ** (f + 1) - 1) * Fraction(2) ** (hi - f) >= 2**128 - 2**103
 
 
@@ -415,9 +413,9 @@ def test_value_path_with_no_rare_operand_rounds_onto_and_past_the_limits(fmt):
     # Binary32 normals within a few half-ulps of 2**min_scale, minpos and
     # maxpos and of their square roots, so operands and products round onto
     # the limits, past them, or stay just inside.
-    f, rng = fmt.fraction_bits, scale_range(fmt)
-    limits = [math.ldexp(1.0, rng.min_scale), math.ldexp(1.0 + 2.0**-f, rng.min_scale),
-              math.ldexp(2.0 - 2.0**-f, rng.max_scale)]
+    f = fmt.fraction_bits
+    limits = [math.ldexp(1.0, fmt.min_scale), math.ldexp(1.0 + 2.0**-f, fmt.min_scale),
+              math.ldexp(2.0 - 2.0**-f, fmt.max_scale)]
     centres = limits + [math.sqrt(v) for v in limits]
     near = [c * (1 + k * 2.0 ** -(f + 1)) for c in centres for k in range(-3, 4)]
     with np.errstate(over="ignore"):  # limits past binary32 become infinities, dropped below
@@ -431,14 +429,14 @@ def test_value_path_with_no_rare_operand_rounds_onto_and_past_the_limits(fmt):
     # products of binary32 normals reach 2**min_scale, to minpos.
     reached = set(got.view(np.uint32).flat)
     assert to_binary32(PositWord((1 << (fmt.n - 1)) - 1, fmt)) in reached
-    assert rng.min_scale < -252 or to_binary32(PositWord(1, fmt)) in reached
+    assert fmt.min_scale < -252 or to_binary32(PositWord(1, fmt)) in reached
 
 
 def out_of_window_normals(fmt: FixedPositFormat) -> list[float]:
     """Binary32 normals that ``fmt`` saturates: below 2**min_scale or past maxpos."""
-    rng, f = scale_range(fmt), fmt.fraction_bits
-    candidates = [math.ldexp(1.5, rng.min_scale - 3), math.ldexp(1.0, rng.min_scale),
-                  math.ldexp(2.0 - 2.0 ** -(f + 2), rng.max_scale), math.ldexp(1.25, rng.max_scale + 2)]
+    f = fmt.fraction_bits
+    candidates = [math.ldexp(1.5, fmt.min_scale - 3), math.ldexp(1.0, fmt.min_scale),
+                  math.ldexp(2.0 - 2.0 ** -(f + 2), fmt.max_scale), math.ldexp(1.25, fmt.max_scale + 2)]
     return [v for v in candidates if 2.0**-126 <= v <= float(np.finfo(np.float32).max)]
 
 
@@ -460,8 +458,7 @@ def test_value_path_where_every_lane_is_rare(fmt):
 @pytest.mark.parametrize("fmt", RARE_LANE_FORMATS, ids=str)
 def test_value_path_on_mostly_zero_operands(fmt):
     rng = np.random.default_rng(fmt.n * 1000 + fmt.es * 100 + fmt.rs)
-    window = scale_range(fmt)
-    lo, hi = max(window.min_scale - 2, -126), min(window.max_scale + 2, 127)
+    lo, hi = max(fmt.min_scale - 2, -126), min(fmt.max_scale + 2, 127)
 
     def mostly_zero(size: int) -> np.ndarray:
         x = (rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(lo, hi + 1, size)).astype(np.float32)
@@ -523,7 +520,7 @@ def test_output_nan_is_canonical_whatever_nan_the_product_carries(monkeypatch):
 # binary32's normal range is exact there.  Any rare lane sends the call to
 # binary64.
 def binary32_exact(fmt: FixedPositFormat) -> bool:
-    f, hi = fmt.fraction_bits, scale_range(fmt).max_scale
+    f, hi = fmt.fraction_bits, fmt.max_scale
     # Past 2**200 the window is far beyond binary32; the cap keeps the Fraction small.
     maxpos = Fraction(2 ** (f + 1) - 1, 2**f) * Fraction(2) ** min(hi, 200)
     return (2 ** (f + 1) - 1) ** 2 < 2**24 and maxpos < 2**128
@@ -563,9 +560,9 @@ def test_binary32_path_matches_binary64_on_every_value_pair(n, monkeypatch):
     wide = rounded_in_binary64(monkeypatch)
     for fmt in all_fixed_formats(n, min_n=n):
         assert batch._constants(fmt).narrow is not None, fmt
-        rng, f = scale_range(fmt), fmt.fraction_bits
-        maxpos = math.ldexp(2.0 - 2.0**-f, rng.max_scale)
-        minpos = math.ldexp(1.0 + 2.0**-f, rng.min_scale)
+        f = fmt.fraction_bits
+        maxpos = math.ldexp(2.0 - 2.0**-f, fmt.max_scale)
+        minpos = math.ldexp(1.0 + 2.0**-f, fmt.min_scale)
         b = batch.to_binary64_batch(np.arange(1, 1 << (n - 1)), fmt).astype(np.float32)
         a = np.concatenate([b, np.nextafter(b, np.float32(0)), np.nextafter(b, np.float32(np.inf))])
         a = np.concatenate([a, -a])
@@ -575,7 +572,7 @@ def test_binary32_path_matches_binary64_on_every_value_pair(n, monkeypatch):
         inside_b = (np.abs(qb) > minpos) & (np.abs(qb) < maxpos)
         exact = np.abs(qa[:, None] * qb[None, :])
         ordinary = inside_a[:, None] & inside_b[None, :] & (exact <= maxpos)
-        ordinary &= exact >= math.ldexp(1.0, max(rng.min_scale + 1, -126))
+        ordinary &= exact >= math.ldexp(1.0, max(fmt.min_scale + 1, -126))
         wide_a, wide_b = np.broadcast_arrays(a[:, None], b[None, :])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -653,14 +650,14 @@ def test_gemm_rank1_step_takes_the_binary32_path_and_falls_back_once(monkeypatch
 def clamps_in_binary32(fmt: FixedPositFormat) -> bool:
     f = fmt.fraction_bits
     # Below 2**-200 the square is far below 2**-137; the cap keeps the Fraction small.
-    minpos = Fraction(2 ** f + 1, 2**f) * Fraction(2) ** max(scale_range(fmt).min_scale, -200)
+    minpos = Fraction(2 ** f + 1, 2**f) * Fraction(2) ** max(fmt.min_scale, -200)
     return binary32_exact(fmt) and minpos**2 >= Fraction(1, 2 ** (126 + f))
 
 
 def test_binary32_clamp_is_enabled_exactly_where_no_product_rounds_to_zero():
     for fmt in all_fixed_formats(32):
         assert batch._constants(fmt).clamps32 == clamps_in_binary32(fmt), fmt
-        if scale_range(fmt).min_scale >= -63:
+        if fmt.min_scale >= -63:
             assert batch._constants(fmt).clamps32 == binary32_exact(fmt), fmt
     assert not any(batch._constants(fmt).clamps32 for fmt in paper_formats())
     assert batch._constants(FixedPositFormat(12, 2, 3)).clamps32
@@ -685,7 +682,7 @@ def test_rare_products_of_in_window_operands_stay_in_binary32_where_they_clamp_e
             got = batch.mul_float32_batch(fmt, a[:, None], a[None, :])
         assert np.array_equal(got.view(np.uint32), expected.view(np.uint32)), fmt
         # For n <= 10 the formats that clamp in binary32 are those with min_scale >= -75.
-        in_binary32 = scale_range(fmt).min_scale >= -75
+        in_binary32 = fmt.min_scale >= -75
         assert batch._constants(fmt).clamps32 == in_binary32, fmt
         assert wide == ([] if in_binary32 else [a.size**2]), fmt
     if n == 10:  # min_scale -96: products of the smallest operands round to zero in binary32

@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fixedposit import __version__, cli
 from fixedposit.cli import main
-from fixedposit.formats import paper_formats
-from fixedposit.workloads import synthetic_image, write_pgm
+from fixedposit.formats import SWEEP_WIDTHS, paper_formats
+from fixedposit.workloads import WorkloadResult, synthetic_image, write_pgm
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,9 @@ def run_error(capsys, *argv):
 
 
 ENVELOPE = ["tool", "version", "command", "argv", "seed", "results", "wall_time_s"]
+
+# (N,6,2) at each width of the paper's grid, as workload --fmt arguments.
+PAPER_GRID = [f"{width},6,2" for width in SWEEP_WIDTHS]
 
 
 @pytest.mark.parametrize(
@@ -83,7 +87,7 @@ def test_enumerate_all_widths_has_38_rows(capsys):
     [
         (("enumerate", "--all-paper-widths"), 1),
         (("sweep", "--all-paper-widths", "--samples", "100"), 0),
-        (("workload", "--name", "dot", "--sweep-widths", "--size", "8"), 0),
+        (("workload", "--name", "dot", "--fmt", "reference", *PAPER_GRID, "--size", "8"), 0),
     ],
     ids=["enumerate", "sweep", "workload"],
 )
@@ -210,8 +214,13 @@ def test_sweep_rejects_zero_samples(capsys):
         ),
         pytest.param(
             ("workload", "--name", "dot"),
-            "one of the arguments --fmt --sweep-widths is required",
-            id="missing-fmt-group",
+            "the following arguments are required: --fmt",
+            id="workload-missing-fmt",
+        ),
+        pytest.param(
+            ("workload", "--name", "dot", "--fmt"),
+            "argument --fmt: expected at least one argument",
+            id="workload-bare-fmt",
         ),
         pytest.param(
             ("convert", "--value", "1.0"),
@@ -330,7 +339,7 @@ def test_one_parser_serves_interleaved_commands(capsys):
     ]
     fresh = [fresh_report(argv) for argv in good]
     errors = [
-        (("workload", "--name", "dot"), "one of the arguments --fmt --sweep-widths is required"),
+        (("workload", "--name", "dot"), "the following arguments are required: --fmt"),
         (("sweep", "--fmt", "24,6,2", "--sample", "10"), "unrecognized arguments: --sample 10"),
         (("convert", "--fmt", "32,6,2", "--value", "0x"), "argument --value: not a decimal value"),
     ]
@@ -364,11 +373,13 @@ def test_workload_reference_row(capsys):
     entry = report["results"][0]
     assert entry["format"] == "reference"
     assert entry["quality"] == 0.0
+    code, out, _ = run_cli(capsys, "workload", "--name", "dot", "--fmt", "reference", "--size", "16")
+    assert code == 0 and out.splitlines()[1].split()[0] == "reference"
 
 
-def test_workload_sweep_widths_monotone(capsys):
+def test_workload_fmt_list_quality_is_monotone_in_width(capsys):
     report = run_json(
-        capsys, "workload", "--name", "gemm", "--sweep-widths", "--size", "48", "--seed", "67"
+        capsys, "workload", "--name", "gemm", "--fmt", *PAPER_GRID, "--size", "48", "--seed", "67"
     )
     rows = report["results"]
     assert len(rows) == 8
@@ -389,19 +400,54 @@ def test_workload_trace_out(tmp_path, capsys):
     assert entry["trace_len"] == entry["mul_count"]
 
 
-def test_workload_sweep_widths_trace_out_writes_one_file_per_format(tmp_path, capsys):
+def test_workload_fmt_list_trace_out_writes_one_file_per_format(tmp_path, capsys):
     report = run_json(
         capsys,
-        "workload", "--name", "dot", "--sweep-widths", "--size", "8",
+        "workload", "--name", "dot", "--fmt", *PAPER_GRID, "reference", "--size", "8",
         "--trace-out", str(tmp_path / "ops.trace"),
     )
     entries = report["results"]
-    assert len(entries) == 8
-    for entry in entries:
-        n, es, rs = entry["format"]
-        assert entry["trace_file"] == str(tmp_path / f"ops-{n}_{es}_{rs}.trace")
+    labels = [f"{width}_6_2" for width in SWEEP_WIDTHS] + ["reference"]
+    for entry, label in zip(entries, labels, strict=True):
+        assert entry["trace_file"] == str(tmp_path / f"ops-{label}.trace")
         assert Path(entry["trace_file"]).stat().st_size == 8 * entry["trace_len"]
     assert sorted(tmp_path.iterdir()) == sorted(Path(e["trace_file"]) for e in entries)
+
+
+def test_workload_fmt_list_gives_what_one_call_per_format_gives(tmp_path, capsys):
+    formats = ["reference", "18,6,2", "12,2,3"]
+    listed = untimed(run_json(
+        capsys, "workload", "--name", "dot", "--fmt", *formats, "--size", "16",
+        "--trace-out", str(tmp_path / "all.trace"),
+    ))["results"]
+    assert [e["format"] for e in listed] == ["reference", [18, 6, 2], [12, 2, 3]]
+    for fmt, entry in zip(formats, listed):
+        alone = tmp_path / f"alone-{fmt}.trace"
+        one = untimed(run_json(
+            capsys, "workload", "--name", "dot", "--fmt", fmt, "--size", "16",
+            "--trace-out", str(alone),
+        ))["results"]
+        assert one[0]["trace_file"] == str(alone)
+        assert Path(entry["trace_file"]).read_bytes() == alone.read_bytes()
+        assert [{**e, "trace_file": None} for e in one] == [{**entry, "trace_file": None}]
+
+
+def test_workload_repeated_fmt_runs_every_format(capsys):
+    report = run_json(capsys, "workload", "--name", "dot", "--fmt", "18,6,2", "--fmt", "20,6,2")
+    assert [e["format"] for e in report["results"]] == [[18, 6, 2], [20, 6, 2]]
+
+
+def test_workload_entry_keys_are_the_result_fields_in_order(tmp_path, capsys):
+    report = run_json(
+        capsys, "workload", "--name", "dot", "--fmt", "18,6,2", "--size", "8",
+        "--trace-out", str(tmp_path / "ops.trace"),
+    )
+    names = [field.name for field in fields(WorkloadResult)]
+    assert names == [
+        "workload", "format", "size", "seed", "primary_metric",
+        "quality", "metrics", "mul_count", "elapsed_s",
+    ]
+    assert list(report["results"][0]) == ["kind", *names, "trace_file", "trace_len"]
 
 
 def test_workload_rejects_unknown_name(capsys):

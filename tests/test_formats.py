@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from fixedposit import (
     FixedPositFormat,
     PositFormat,
-    ScaleRange,
     enumerate_ieee_equivalent,
     parse_fixed_posit,
-    scale_range,
 )
-from fixedposit.formats import paper_formats
+from fixedposit.formats import ScaleRange, paper_formats, scale_range
 
 from support import all_fixed_formats
 
@@ -110,8 +108,7 @@ def test_enumerate_full_grid():
 
 def test_enumerated_formats_cover_binary32_scales():
     for fmt in paper_formats():
-        rng = scale_range(fmt)
-        assert rng.min_scale <= -126 and rng.max_scale >= 127
+        assert fmt.min_scale <= -126 and fmt.max_scale >= 127
         assert fmt.rs * (1 << fmt.es) == 128
         assert fmt.es > 0  # 128 is not reachable with es=0 inside these widths
 

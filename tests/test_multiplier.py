@@ -20,7 +20,6 @@ from fixedposit import (
     mul_datapath_traced,
     mul_reference,
     nar_word,
-    scale_range,
     to_binary64,
     zero_word,
 )
@@ -331,10 +330,9 @@ def test_mean_error_is_non_increasing_in_width():
 
 def test_reference_multiplier_saturation_and_sign():
     fmt = FixedPositFormat(10, 3, 2)
-    rng = scale_range(fmt)
-    top = encode(1, rng.max_scale, (2 << fmt.fraction_bits) - 1, fmt.fraction_bits, fmt)
+    top = encode(1, fmt.max_scale, (2 << fmt.fraction_bits) - 1, fmt.fraction_bits, fmt)
     assert mul_reference(top, top).bits == top.bits
-    neg = encode(-1, rng.max_scale, 1, 0, fmt)
+    neg = encode(-1, fmt.max_scale, 1, 0, fmt)
     assert decode(mul_reference(neg, top)).sign == -1
 
 
