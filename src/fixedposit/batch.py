@@ -69,8 +69,8 @@ since on a 0-d array the in-place ufuncs would return scalars.
 path's quantised operand: its binary64 exponent is the word's scale and its
 top ``f`` fraction bits are the word's fraction.  The decode splits a word's
 fields with the same array passes for every format.  Both work through
-input longer than ``BLOCK`` lanes one block at a time, into one output
-array (``_blockwise``): a block's temporaries stay in cache and are reused
+their input ``BLOCK`` lanes at a time, into one output array
+(``_blockwise``): a block's temporaries stay in cache and are reused
 from malloc's free lists, where full-size ones were returned to the kernel
 and faulted in again for each array.  Every lane is converted on its own,
 so the output is the same bits.
@@ -219,24 +219,20 @@ BLOCK = 8192
 
 
 def _blockwise(step, x: np.ndarray, fmt: FixedPositFormat, dtype: type) -> np.ndarray:
-    """``step(block, fmt)`` over the flattened ``x``, block by block, as one 1-d ``dtype`` array.
+    """``step(block, fmt)`` over ``x``, block by block, as one ``dtype`` array of ``x``'s shape.
 
     ``step`` maps a 1-d array to a 1-d array of its length, lane by lane.
-    Input that fits one block is passed whole.
     """
     flat = np.asarray(x).reshape(-1)
-    if flat.size <= BLOCK:
-        return step(flat, fmt)
     out = np.empty(flat.size, dtype)
     for start in range(0, flat.size, BLOCK):
         out[start : start + BLOCK] = step(flat[start : start + BLOCK], fmt)
-    return out
+    return out.reshape(np.shape(x))
 
 
 def from_binary32_batch(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     """Vector version of codec.from_binary32; returns int64 word patterns."""
-    shape = np.shape(x_bits)
-    return _blockwise(_encode, x_bits, fmt, _I64).reshape(shape)
+    return _blockwise(_encode, x_bits, fmt, _I64)
 
 
 def _encode(x_bits: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
@@ -263,8 +259,7 @@ def to_binary64_batch(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:
     zero, ties to even.  Words with n <= 32 and scales in [-1022, 1023] are
     exact.
     """
-    shape = np.shape(words)
-    return _blockwise(_decode64, words, fmt, np.float64).reshape(shape)
+    return _blockwise(_decode64, words, fmt, np.float64)
 
 
 def _decode64(words: np.ndarray, fmt: FixedPositFormat) -> np.ndarray:

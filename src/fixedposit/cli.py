@@ -3,7 +3,8 @@
 Every command is deterministic given its flags (seeds default to a fixed
 constant), and ``--json`` swaps the human-readable tables for a stable
 machine-readable report.  ``workload --fmt`` takes a list of formats and
-reports one entry for each, in order.
+reports one entry for each, in order.  A command fills the report and returns
+its text lines, its tables built by ``_table``; only ``main`` prints.
 """
 
 from __future__ import annotations
@@ -114,9 +115,12 @@ def _join_value_tokens(argv: list[str]) -> list[str]:
 
 
 def _seed_arg(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return int(text)
+    try:
+        if text.strip().isdecimal():
+            return int(text)
+    except ValueError:  # past int()'s limit on decimal digits
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
 
 
 def _int_arg(minimum: int, problem: str):
@@ -149,9 +153,18 @@ def _workload_fmt_arg(text: str) -> FixedPositFormat | None:
     return None if text == "reference" else _fmt_arg(text)
 
 
-def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
-    rows = paper_formats() if args.all_paper_widths else enumerate_ieee_equivalent(args.width)
-    for fmt in rows:
+def _table(widths: tuple[int, ...], header: tuple[str, ...], rows: list[tuple]) -> list[str]:
+    """Text table lines: each cell right-aligned in its column's width."""
+    return [
+        "".join(str(cell).rjust(width) for cell, width in zip(row, widths))
+        for row in (header, *rows)
+    ]
+
+
+def cmd_enumerate(args: argparse.Namespace, report: dict) -> list[str]:
+    formats = paper_formats() if args.all_paper_widths else enumerate_ieee_equivalent(args.width)
+    rows = []
+    for fmt in formats:
         report["results"].append(
             {
                 "format": _fmt_triple(fmt),
@@ -160,12 +173,9 @@ def cmd_enumerate(args: argparse.Namespace, report: dict) -> None:
                 "max_scale": fmt.max_scale,
             }
         )
-    if not args.json:
-        print(f"{'format':>12}{'fraction':>10}{'scale range':>14}")
-        for fmt, row in zip(rows, report["results"]):
-            scales = f"[{row['min_scale']}, {row['max_scale']}]"
-            print(f"{str(fmt):>12}{row['fraction_bits']:>10}{scales:>14}")
-        print(f"{len(rows)} configuration(s)")
+        rows.append((fmt, fmt.fraction_bits, f"[{fmt.min_scale}, {fmt.max_scale}]"))
+    header = ("format", "fraction", "scale range")
+    return _table((12, 10, 14), header, rows) + [f"{len(rows)} configuration(s)"]
 
 
 def _describe_word(word: PositWord) -> dict:
@@ -186,21 +196,21 @@ def _describe_word(word: PositWord) -> dict:
     return entry
 
 
-def cmd_convert(args: argparse.Namespace, report: dict) -> None:
+def cmd_convert(args: argparse.Namespace, report: dict) -> list[str]:
     entry = {"format": _fmt_triple(args.fmt), "input_bits": f"0x{args.value:08x}"}
     entry.update(_describe_word(from_binary32(args.value, args.fmt)))
     report["results"].append(entry)
-    if not args.json:
-        shown = "NaR" if entry["class"] == "nar" else entry["value"]
-        print(f"{entry['input_bits']} -> {entry['word_hex']}  ({shown})")
-        if entry["class"] == "normal":
-            print(
-                f"  sign={entry['sign']} scale={entry['scale']} "
-                f"significand={entry['significand']}/2^{entry['fraction_bits']}"
-            )
+    shown = "NaR" if entry["class"] == "nar" else entry["value"]
+    lines = [f"{entry['input_bits']} -> {entry['word_hex']}  ({shown})"]
+    if entry["class"] == "normal":
+        lines.append(
+            f"  sign={entry['sign']} scale={entry['scale']} "
+            f"significand={entry['significand']}/2^{entry['fraction_bits']}"
+        )
+    return lines
 
 
-def cmd_mul(args: argparse.Namespace, report: dict) -> None:
+def cmd_mul(args: argparse.Namespace, report: dict) -> list[str]:
     wa = from_binary32(args.a, args.fmt)
     wb = from_binary32(args.b, args.fmt)
     wc, trace = mul_datapath_traced(wa, wb)
@@ -213,37 +223,31 @@ def cmd_mul(args: argparse.Namespace, report: dict) -> None:
     if args.trace_datapath and trace is not None:
         entry["datapath_trace"] = asdict(trace)
     report["results"].append(entry)
-    if not args.json:
-        shown = "NaR" if entry["result"]["class"] == "nar" else entry["result"]["value"]
-        print(f"{entry['a_word']} * {entry['b_word']} -> {entry['result']['word_hex']}  ({shown})")
-        if "datapath_trace" in entry:
-            for key, val in entry["datapath_trace"].items():
-                print(f"  {key} = {val}")
+    shown = "NaR" if entry["result"]["class"] == "nar" else entry["result"]["value"]
+    lines = [f"{entry['a_word']} * {entry['b_word']} -> {entry['result']['word_hex']}  ({shown})"]
+    lines += [f"  {key} = {val}" for key, val in entry.get("datapath_trace", {}).items()]
+    return lines
 
 
-def cmd_sweep(args: argparse.Namespace, report: dict) -> None:
+def cmd_sweep(args: argparse.Namespace, report: dict) -> list[str]:
     formats = paper_formats() if args.all_paper_widths else [args.fmt]
     report["samples"] = args.samples
     report["distribution"] = args.dist
+    rows = []
     for fmt in formats:
         err = sweep_conversion_error(fmt, args.samples, args.seed, args.dist)
         entry = {"kind": "error_report", "format": _fmt_triple(fmt)}
         entry.update(asdict(err))
         report["results"].append(entry)
-    if not args.json:
-        print(f"{'format':>12} {'max rel err %':>16} {'mean rel err %':>16}")
-        for fmt, entry in zip(formats, report["results"]):
-            print(
-                str(fmt).rjust(12)
-                + f"{entry['max_rel_err_pct']:>17.6g}"
-                + f"{entry['mean_rel_err_pct']:>17.6g}"
-            )
+        rows.append((fmt, f"{err.max_rel_err_pct:.6g}", f"{err.mean_rel_err_pct:.6g}"))
+    return _table((12, 17, 17), ("format", "max rel err %", "mean rel err %"), rows)
 
 
-def cmd_workload(args: argparse.Namespace, report: dict) -> None:
+def cmd_workload(args: argparse.Namespace, report: dict) -> list[str]:
     # args.fmt lists the formats in order; None is the reference run, with native multiplies.
     image = read_pgm(args.image) if args.image else None
     report["workload"] = args.name
+    rows = []
     for fmt in args.fmt:
         result, trace = run_workload(
             args.name,
@@ -267,15 +271,10 @@ def cmd_workload(args: argparse.Namespace, report: dict) -> None:
             trace.save(path)
             entry["trace_file"] = path
             entry["trace_len"] = len(trace)
-    if not args.json:
-        print(f"{'format':>12} {'metric':>18} {'quality':>14} {'muls':>10}")
-        for fmt, entry in zip(args.fmt, report["results"]):
-            print(
-                str(fmt or "reference").rjust(12)
-                + entry["primary_metric"].rjust(19)
-                + f"{entry['quality']:>15.6g}"
-                + f"{entry['mul_count']:>11}"
-            )
+        rows.append(
+            (fmt or "reference", result.primary_metric, f"{result.quality:.6g}", result.mul_count)
+        )
+    return _table((12, 19, 15, 11), ("format", "metric", "quality", "muls"), rows)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -283,7 +282,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help="deterministic seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fixedposit",
         description="Fixed-posit arithmetic workbench",
@@ -356,16 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; input errors print one ``error:`` line and return 2.
 
-    The parser is built on the first call and reused by every later call in
-    the process; each parse starts from fresh state (``_Parser``).
+    The report or text is printed once the command has finished, so a failed
+    command prints nothing on stdout.  The parser is built on the first call
+    and reused by every later one; each parse starts afresh (``_Parser``).
     """
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -380,10 +376,9 @@ def main(argv: list[str] | None = None) -> int:
             "wall_time_s": None,
         }
         started = time.perf_counter()
-        args.func(args, report)
+        lines = args.func(args, report)
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
-        if args.json:
-            print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
     # OSError includes a closed output pipe; MemoryError, an array too large to allocate.
     # Python's own MemoryError, from an int too large to build, carries no message.
     except (ValueError, OSError, MemoryError) as exc:

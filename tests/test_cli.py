@@ -100,6 +100,41 @@ def test_text_table_lines_have_one_width(capsys, argv, footer):
     assert {len(line) for line in table} == {len(table[0])}, table[:2]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--width", "32"),
+        ("convert", "--fmt", "32,6,2", "--value", "1.5"),
+        ("mul", "--fmt", "8,2,2", "--a", "2", "--b", "3", "--trace-datapath"),
+        ("sweep", "--fmt", "24,6,2", "--samples", "100"),
+        ("workload", "--name", "dot", "--fmt", "18,6,2", "reference", "--size", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_return_their_lines_and_main_prints_once(capsys, monkeypatch, argv):
+    args = cli._parser().parse_args(list(argv))
+    del args.json  # a command that read it would raise AttributeError
+    report = {"results": []}
+    lines = args.func(args, report)
+    assert capsys.readouterr().out == ""
+    assert lines and all(isinstance(line, str) and "\n" not in line for line in lines)
+    assert report["results"]
+    printed = []
+    monkeypatch.setattr(cli, "print", lambda *a, **k: printed.append(a), raising=False)
+    assert main(list(argv)) == 0
+    assert printed == [("\n".join(lines),)]
+    assert main([*argv, "--json"]) == 0
+    assert len(printed) == 2 and json.loads(printed[1][0])["results"]
+
+
+@pytest.mark.parametrize("tail", [(), ("--json",)], ids=["text", "json"])
+def test_failed_command_prints_nothing_on_stdout(capsys, tail):
+    # The word takes 3,750 hex digits, but its significand has more decimal
+    # digits than int() will print: the command fails after its first text line.
+    error = run_error(capsys, "convert", "--fmt", "15000,0,1", "--value", "1.5", *tail)
+    assert "integer string conversion" in error
+
+
 def test_enumerate_width_5_is_empty_but_ok(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--width", "5")
     assert code == 0
@@ -246,6 +281,11 @@ def test_sweep_rejects_zero_samples(capsys):
             ("workload", "--name", "dot", "--fmt", "18,6,2", "--seed", "-1"),
             "argument --seed: not a non-negative integer: '-1'",
             id="workload-negative-seed",
+        ),
+        pytest.param(
+            ("sweep", "--fmt", "18,6,2", "--samples", "10", "--seed", "9" * 5000),
+            "argument --seed: not a non-negative integer: '999",  # past int()'s digit limit
+            id="seed-5000-digits",
         ),
         pytest.param(
             ("convert", "--fmt", "32,6,2", "--value", "0x"),

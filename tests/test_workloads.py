@@ -313,3 +313,41 @@ def test_batch_substitution_matches_scalar_callable():
     a_bits, b_bits = a.view(np.uint32), b.view(np.uint32)
     for i in range(0, 200, 7):
         assert out[i] == mul_binary32_bits(F18, int(a_bits[i]), int(b_bits[i]))
+
+
+# How each output's products lie in a kernel's recorded trace: the shape to
+# view it in, the axis that holds one output's terms, and n, the number of
+# terms summed into each output.
+SUMMED_TERMS = {
+    "gemm": lambda size: ((size, -1), 0, size),  # one rank-1 update per call
+    "dot": lambda size: ((-1, size), 1, size),  # one row per output
+    "axpby": lambda size: ((2, -1), 0, 2),  # alpha * x, then beta * y
+}
+
+
+@pytest.mark.parametrize("fmt", [FixedPositFormat(n, 6, 2) for n in (12, 14, 18, 24, 32)], ids=str)
+@pytest.mark.parametrize(
+    "name, size", [("gemm", 16), ("gemm", 48), ("dot", 16), ("dot", 48), ("axpby", 200)]
+)
+@pytest.mark.parametrize("seed", [1, 67])
+def test_substituted_error_is_within_its_first_order_bound(name, size, seed, fmt):
+    # Higham's standard model: a product inside the window is Q(Q(a)Q(b)) =
+    # ab(1+t) with |t| <= (1+u)**3 - 1, the reference product rounds by at
+    # most 2**-24, and binary32 sums of n terms add gamma_n on each side.
+    from fixedposit.workloads import _KERNELS
+
+    kernel = _KERNELS[name][0]
+    ref_mul = TracingMul(native_mul, record=True)
+    ref = kernel(size, seed, ref_mul).astype(np.float64)
+    sub = kernel(size, seed, TracingMul(partial(mul_float32_batch, fmt))).astype(np.float64)
+    trace = ref_mul.trace()
+    a, b = (bits.view(np.float32).astype(np.float64) for bits in (trace.a_bits, trace.b_bits))
+    products = np.abs(a * b)  # exact: 24-bit significands
+    for x in (np.abs(a), np.abs(b), products):  # no lane saturates or flushes
+        assert np.all((x > 2.0**fmt.min_scale) & (x < 2.0 ** (fmt.max_scale + 1)))
+    shape, axis, n = SUMMED_TERMS[name](size)
+    magnitude = products.reshape(shape).sum(axis).reshape(ref.shape)
+    u = 2.0 ** -(fmt.fraction_bits + 1)
+    gamma = n * 2.0**-24 / (1 - n * 2.0**-24)
+    rel = ((1 + u) ** 3 - 1) + 2.0**-24 + 2 * gamma * (1 + u) ** 3
+    assert np.all(np.abs(sub - ref) <= rel * magnitude)
