@@ -1,10 +1,11 @@
 """Command-line workbench: enumeration, conversion, multiplication, sweeps, workloads.
 
-Every command is deterministic given its flags (seeds default to a fixed
-constant), and ``--json`` swaps the human-readable tables for a stable
-machine-readable report.  ``workload --fmt`` takes a list of formats and
-reports one entry for each, in order.  A command fills the report and returns
-its text lines, its tables built by ``_table``; only ``main`` prints.
+Every command is deterministic given its flags.  Only ``sweep`` and ``workload``
+draw inputs, from ``--seed`` (default 67); the other reports record a null seed.
+``--json`` swaps the human-readable tables for a stable machine-readable report.
+``workload --fmt`` takes a list of formats and reports one entry for each, in
+order.  A command fills the report and returns its text lines, its tables built
+by ``_table``; only ``main`` prints.
 """
 
 from __future__ import annotations
@@ -114,15 +115,6 @@ def _join_value_tokens(argv: list[str]) -> list[str]:
     return joined
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        if text.strip().isdecimal():
-            return int(text)
-    except ValueError:  # past int()'s limit on decimal digits
-        pass
-    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-
-
 def _int_arg(minimum: int, problem: str):
     """An integer flag of at least ``minimum``; ``problem`` opens the error for a smaller one."""
 
@@ -139,13 +131,22 @@ def _int_arg(minimum: int, problem: str):
 
 
 _count_arg = _int_arg(1, "must be positive")
+_seed_arg = _int_arg(0, "must be non-negative")
 
 
 def _fmt_arg(text: str) -> FixedPositFormat:
     try:
-        return parse_fixed_posit(text)
+        fmt = parse_fixed_posit(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    # A report writes significands, below 2**(f+1), in decimal, which Python
+    # refuses past its digit limit (0: none; no limit before Python 3.10.7).
+    # 10**limit has over 3*limit bits: a narrower format need not build it.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = fmt.fraction_bits + 1
+    if limit and bits > 3 * limit and bits >= (10**limit).bit_length():
+        raise argparse.ArgumentTypeError(f"{fmt} has significands of over {limit} decimal digits")
+    return fmt
 
 
 def _workload_fmt_arg(text: str) -> FixedPositFormat | None:
@@ -277,11 +278,6 @@ def cmd_workload(args: argparse.Namespace, report: dict) -> list[str]:
     return _table((12, 19, 15, 11), ("format", "metric", "quality", "muls"), rows)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help="deterministic seed")
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -303,13 +299,11 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate the stock width sweep 18..32 (even widths)",
     )
-    _add_common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_conv = sub.add_parser("convert", help="convert a binary32 value to a fixed-posit word")
     p_conv.add_argument("--fmt", required=True, type=_fmt_arg, help="format as N,es,rs")
     p_conv.add_argument("--value", required=True, type=_binary32_arg, help="decimal, 0xHEX or nan")
-    _add_common(p_conv)
     p_conv.set_defaults(func=cmd_convert)
 
     p_mul = sub.add_parser("mul", help="multiply two values through the datapath")
@@ -319,7 +313,6 @@ def _parser() -> argparse.ArgumentParser:
     p_mul.add_argument(
         "--trace-datapath", action="store_true", help="dump the multiplier block values"
     )
-    _add_common(p_mul)
     p_mul.set_defaults(func=cmd_mul)
 
     p_sweep = sub.add_parser("sweep", help="conversion error sweep over random binary32 samples")
@@ -332,7 +325,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--samples", type=_count_arg, default=100_000, help="sample count")
     p_sweep.add_argument("--dist", choices=DISTRIBUTIONS, default="log-uniform")
-    _add_common(p_sweep)
+    p_sweep.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help="seed of the samples")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_work = sub.add_parser("workload", help="run a multiply-substitution workload")
@@ -351,8 +344,10 @@ def _parser() -> argparse.ArgumentParser:
         help="write the operand trace to this file; several formats write STEM-LABEL.SUFFIX each",
     )
     p_work.add_argument("--image", help="8-bit PGM input image (sobel only)")
-    _add_common(p_work)
+    p_work.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help="seed of the inputs")
     p_work.set_defaults(func=cmd_workload)
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
@@ -371,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
             "command": args.command,
             "argv": argv,
-            "seed": args.seed,
+            "seed": getattr(args, "seed", None),  # None: the command draws nothing
             "results": [],
             "wall_time_s": None,
         }

@@ -399,6 +399,8 @@ def run_workload(
     else:
         runner = lambda mul: kernel(size, seed, mul)
 
+    # Wrapped though it records nothing: perfbench's workloads.ref_s is the time
+    # between this TracingMul's construction and the next (0 with a bare native_mul).
     ref_mul = TracingMul(native_mul)
     ref_out = runner(ref_mul)
 

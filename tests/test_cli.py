@@ -11,7 +11,7 @@ import pytest
 from fixedposit import __version__, cli
 from fixedposit.cli import main
 from fixedposit.formats import SWEEP_WIDTHS, paper_formats
-from fixedposit.workloads import WorkloadResult, synthetic_image, write_pgm
+from fixedposit.workloads import WorkloadResult, run_workload, synthetic_image, write_pgm
 
 
 def run_cli(capsys, *argv):
@@ -43,17 +43,18 @@ PAPER_GRID = [f"{width},6,2" for width in SWEEP_WIDTHS]
 
 
 @pytest.mark.parametrize(
-    "argv, extra_keys",
+    "argv, seed, extra_keys",
     [
-        (["enumerate", "--width", "32"], []),
-        (["convert", "--fmt", "32,6,2", "--value", "1.0"], []),
-        (["mul", "--fmt", "8,2,2", "--a", "2.0", "--b", "3.0"], []),
-        (["sweep", "--fmt", "24,6,2", "--samples", "100"], ["samples", "distribution"]),
-        (["workload", "--name", "dot", "--fmt", "18,6,2", "--size", "8"], ["workload"]),
+        (["enumerate", "--width", "32"], None, []),
+        (["convert", "--fmt", "32,6,2", "--value", "1.0"], None, []),
+        (["mul", "--fmt", "8,2,2", "--a", "2.0", "--b", "3.0"], None, []),
+        (["sweep", "--fmt", "24,6,2", "--samples", "100"], 67, ["samples", "distribution"]),
+        (["workload", "--name", "dot", "--fmt", "18,6,2", "--size", "8"], 67, ["workload"]),
     ],
     ids=["enumerate", "convert", "mul", "sweep", "workload"],
 )
-def test_report_envelope_records_the_parsed_argv(capsys, monkeypatch, argv, extra_keys):
+def test_report_envelope_records_the_parsed_argv(capsys, monkeypatch, argv, seed, extra_keys):
+    # A command that draws nothing records a null seed, under the same key.
     monkeypatch.setattr(sys, "argv", ["host", "--not-fixedposit", "-q"])
     argv = argv + ["--json"]
     assert main(argv) == 0
@@ -61,8 +62,51 @@ def test_report_envelope_records_the_parsed_argv(capsys, monkeypatch, argv, extr
     assert list(report) == ENVELOPE + extra_keys
     assert report["argv"] == argv
     assert report["command"] == argv[0]
-    assert report["seed"] == 67
+    assert report["seed"] == seed
     assert report["results"] and report["wall_time_s"] >= 0
+
+
+def subcommand_parsers() -> dict:
+    subparsers = next(action for action in cli._parser()._actions if action.dest == "command")
+    return subparsers.choices
+
+
+def test_only_the_commands_that_draw_take_seed():
+    flags = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in subcommand_parsers().items()
+    }
+    assert set(flags) == {"enumerate", "convert", "mul", "sweep", "workload"}
+    assert {name for name, names in flags.items() if "--seed" in names} == {"sweep", "workload"}
+    assert all("--json" in names for names in flags.values())
+
+
+def test_integer_flags_share_one_parse_rule():
+    # Each integer flag converts through an _int_arg closure, none through a body of its own.
+    converters = {
+        (action.dest, action.type)
+        for parser in subcommand_parsers().values()
+        for action in parser._actions
+        if action.dest in ("width", "samples", "size", "seed")
+    }
+    assert {dest for dest, _ in converters} == {"width", "samples", "size", "seed"}
+    assert {convert.__qualname__ for _, convert in converters} == {"_int_arg.<locals>.convert"}
+
+
+@pytest.mark.parametrize("text", ["+5", " 5 ", "0_5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--fmt", "18,6,2", "--samples", "10"),
+        ("workload", "--name", "dot", "--fmt", "18,6,2", "--size", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_reads_as_samples_does(capsys, argv, text):
+    assert cli._seed_arg(text) == cli._count_arg(text) == 5
+    report = run_json(capsys, *argv, "--seed", text)
+    assert report["seed"] == 5
+    assert untimed(report)["results"] == untimed(run_json(capsys, *argv, "--seed", "5"))["results"]
 
 
 def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
@@ -128,11 +172,26 @@ def test_commands_return_their_lines_and_main_prints_once(capsys, monkeypatch, a
 
 
 @pytest.mark.parametrize("tail", [(), ("--json",)], ids=["text", "json"])
-def test_failed_command_prints_nothing_on_stdout(capsys, tail):
-    # The word takes 3,750 hex digits, but its significand has more decimal
-    # digits than int() will print: the command fails after its first text line.
-    error = run_error(capsys, "convert", "--fmt", "15000,0,1", "--value", "1.5", *tail)
-    assert "integer string conversion" in error
+def test_failed_command_prints_nothing_on_stdout(capsys, monkeypatch, tail):
+    # The first format runs and fills its table row and report entry; the
+    # second then trips the batch codec's width gate.
+    ran = []
+    monkeypatch.setattr(
+        cli, "run_workload", lambda name, fmt, **kw: ran.append(fmt) or run_workload(name, fmt, **kw)
+    )
+    argv = ("workload", "--name", "dot", "--fmt", "18,6,2", "40,6,2", "--size", "8", *tail)
+    error = run_error(capsys, *argv)
+    assert error == "error: batch codec carries at most 32-bit words, got (40,6,2)"
+    assert [str(fmt) for fmt in ran] == ["(18,6,2)", "(40,6,2)"]
+
+
+def test_fmt_is_refused_exactly_where_a_significand_passes_the_digit_limit(capsys):
+    # (n,0,1) has significands below 2**(n-1): up to 4,300 decimal digits at
+    # n = 14285, Python's default limit, and up to 4,301 at n = 14286.
+    entry = run_json(capsys, "convert", "--fmt", "14285,0,1", "--value", "1.9999999")["results"][0]
+    assert len(str(entry["significand"])) == sys.get_int_max_str_digits() == 4300
+    error = run_error(capsys, "convert", "--fmt", "14286,0,1", "--value", "1.9999999")
+    assert error == "error: argument --fmt: (14286,0,1) has significands of over 4300 decimal digits"
 
 
 def test_enumerate_width_5_is_empty_but_ok(capsys):
@@ -258,6 +317,21 @@ def test_sweep_rejects_zero_samples(capsys):
             id="workload-bare-fmt",
         ),
         pytest.param(
+            ("enumerate", "--width", "32", "--seed", "5"),
+            "unrecognized arguments: --seed 5",
+            id="enumerate-seed",
+        ),
+        pytest.param(
+            ("convert", "--fmt", "32,6,2", "--value", "1.0", "--seed", "5", "--json"),
+            "unrecognized arguments: --seed 5",
+            id="convert-seed",
+        ),
+        pytest.param(
+            ("mul", "--fmt", "8,2,2", "--a", "2", "--b", "3", "--seed", "5"),
+            "unrecognized arguments: --seed 5",
+            id="mul-seed",
+        ),
+        pytest.param(
             ("convert", "--value", "1.0"),
             "the following arguments are required: --fmt",
             id="missing-fmt",
@@ -274,17 +348,17 @@ def test_sweep_rejects_zero_samples(capsys):
         ),
         pytest.param(
             ("sweep", "--fmt", "18,6,2", "--samples", "10", "--seed", "-1"),
-            "argument --seed: not a non-negative integer: '-1'",
+            "argument --seed: must be non-negative, got -1",
             id="sweep-negative-seed",
         ),
         pytest.param(
             ("workload", "--name", "dot", "--fmt", "18,6,2", "--seed", "-1"),
-            "argument --seed: not a non-negative integer: '-1'",
+            "argument --seed: must be non-negative, got -1",
             id="workload-negative-seed",
         ),
         pytest.param(
             ("sweep", "--fmt", "18,6,2", "--samples", "10", "--seed", "9" * 5000),
-            "argument --seed: not a non-negative integer: '999",  # past int()'s digit limit
+            "argument --seed: invalid int value: '999",  # past int()'s digit limit
             id="seed-5000-digits",
         ),
         pytest.param(
@@ -306,6 +380,16 @@ def test_sweep_rejects_zero_samples(capsys):
             ("mul", "--fmt", "8,2,x", "--a", "2", "--b", "3"),
             "argument --fmt: expected three integers in '8,2,x'",
             id="mul-fmt",
+        ),
+        pytest.param(
+            ("convert", "--fmt", "15000,0,1", "--value", "1.5"),
+            "argument --fmt: (15000,0,1) has significands of over 4300 decimal digits",
+            id="convert-fmt-too-wide-to-print",
+        ),
+        pytest.param(
+            ("mul", "--fmt", "15000,0,1", "--a", "1.5", "--b", "1.5", "--json"),
+            "argument --fmt: (15000,0,1) has significands of over 4300 decimal digits",
+            id="mul-fmt-too-wide-to-print",
         ),
         pytest.param(
             ("sweep", "--fmt", "18,3,16"),

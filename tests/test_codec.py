@@ -258,25 +258,42 @@ def test_reachable_words_bijective_rs_ge3(fmt):
     check_negation_symmetry(fmt, signed_word_order(fmt))
 
 
-@pytest.mark.parametrize("fmt", [FixedPositFormat(8, 1, 3), FixedPositFormat(9, 0, 5)])
+RS_GE3_FORMATS = [fmt for fmt in all_fixed_formats(10) if fmt.rs >= 3]  # 56 formats
+
+
+def staircase_fields(rs: int) -> set[int]:
+    """The 2*rs regime fields the encoder writes: a run padded with complement bits."""
+    ones_first = {((1 << run) - 1) << (rs - run) for run in range(1, rs + 1)}
+    zeros_first = {(1 << (rs - run)) - 1 for run in range(1, rs + 1)}
+    return ones_first | zeros_first
+
+
+@pytest.mark.parametrize("fmt", RS_GE3_FORMATS)
 def test_rs_ge3_aliases_decode_to_their_staircase_form(fmt):
-    # Regime fields wider than 2 bits are redundant: a non-staircase field
-    # decodes to the same value as its staircase (complement-filled) form.
-    reachable = set(canonical_words(fmt))
-    aliased = 0
-    for bits in range(1 << fmt.n):
-        w = PositWord(bits, fmt)
-        d = decode(w)
+    # Regime fields wider than 2 bits are redundant: a word round-trips
+    # exactly when its regime field is a staircase, and any other field
+    # decodes to the value of a word that round-trips.
+    n, es, rs, f = fmt.n, fmt.es, fmt.rs, fmt.fraction_bits
+    staircase = staircase_fields(rs)
+    assert len(staircase) == 2 * rs
+    canonical = set()
+    aliased = []
+    for bits in range(1 << n):
+        d = decode(PositWord(bits, fmt))
         if d.is_zero or d.is_nar:
             continue
-        canonical = encode(d.sign, d.scale, d.significand, d.fraction_bits, fmt)
-        if bits in reachable:
-            assert canonical.bits == bits
+        magnitude = (-bits) & ((1 << n) - 1) if d.sign < 0 else bits
+        back = encode(d.sign, d.scale, d.significand, d.fraction_bits, fmt)
+        assert (back.bits == bits) == ((magnitude >> (es + f)) in staircase), hex(bits)
+        if back.bits == bits:
+            canonical.add(bits)
         else:
-            aliased += 1
-            assert canonical.bits != bits
-            assert decode(canonical) == d
-    assert aliased == (1 << fmt.n) - len(reachable) - 1  # everything else, minus NaR
+            aliased.append((back.bits, d))
+    for bits, d in aliased:
+        assert bits in canonical and decode(PositWord(bits, fmt)) == d
+    # With the zero word, a share 2rs/2**rs of the 2**(n-1) magnitudes.
+    assert len(canonical) // 2 + 1 == (2 * rs) << (es + f)
+    assert Fraction(len(canonical) // 2 + 1, 1 << (n - 1)) == Fraction(2 * rs, 1 << rs)
 
 
 @pytest.mark.xfail(

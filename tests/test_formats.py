@@ -1,5 +1,7 @@
+from collections import defaultdict
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,8 @@ from fixedposit import (
     enumerate_ieee_equivalent,
     parse_fixed_posit,
 )
-from fixedposit.formats import ScaleRange, paper_formats, scale_range
+from fixedposit import batch
+from fixedposit.formats import SWEEP_WIDTHS, ScaleRange, paper_formats, scale_range
 
 from support import all_fixed_formats
 
@@ -147,3 +150,64 @@ def test_parse_fixed_posit():
 def test_formats_are_value_objects():
     assert FixedPositFormat(8, 2, 2) == FixedPositFormat(8, 2, 2)
     assert len({FixedPositFormat(8, 2, 2), FixedPositFormat(8, 2, 2)}) == 1
+
+
+# --- format classes -------------------------------------------------------------
+#
+# A format's arithmetic is its fraction width f over the window of scales
+# [-W, W-1], W = rs * 2**es; es and rs only choose how the scale is encoded.
+
+
+def value_class(fmt: FixedPositFormat) -> tuple[int, int]:
+    return fmt.fraction_bits, fmt.rs << fmt.es
+
+
+def test_formats_of_one_class_decode_to_one_value_set():
+    classes = defaultdict(list)
+    for fmt in all_fixed_formats(12):
+        classes[value_class(fmt)].append(fmt)
+    shared = [members for members in classes.values() if len(members) > 1]
+    assert (sum(map(len, classes.values())), len(classes)) == (219, 124)
+    assert (len(shared), sum(map(len, shared))) == (61, 156)
+    for members in shared:
+        value_sets = []
+        for fmt in members:
+            values = batch.to_binary64_batch(np.arange(1 << fmt.n, dtype=np.int64), fmt)
+            value_sets.append(np.unique(values[~np.isnan(values)]))  # NaR decodes to NaN
+        for fmt, values in zip(members[1:], value_sets[1:]):
+            assert np.array_equal(values, value_sets[0]), (members[0], fmt)
+
+
+def test_paper_grid_is_21_arithmetics_over_one_window():
+    grid = paper_formats()
+    assert {fmt.rs << fmt.es for fmt in grid} == {128}
+    assert len({value_class(fmt) for fmt in grid}) == 21
+    for width in SWEEP_WIDTHS:
+        f = {fmt.es: fmt.fraction_bits for fmt in enumerate_ieee_equivalent(width)}
+        # (N,7,1) is (N,6,2)'s arithmetic; (N,5,4), (N,4,8) and (N,3,16), where
+        # they fit, give up fraction bits for the same window.
+        lost = {es: f[6] - f[es] for es in f if es != 6}
+        assert lost == ({7: 0, 5: 1, 4: 4, 3: 11} if width >= 22 else {7: 0, 5: 1, 4: 4})
+
+
+@pytest.mark.parametrize("width", SWEEP_WIDTHS)
+def test_class_members_multiply_bit_identically(width):
+    # Sampled bit patterns span every binary32 exponent, subnormals and
+    # specials included; the specials are also crossed with each other.
+    rng = np.random.default_rng(width)
+    specials = np.array(
+        [0x00000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x3F800000, 0x7F7FFFFF,
+         0x7F800000, 0x7FC00000, 0x7F800001],
+        np.uint32,
+    )
+    specials = np.concatenate([specials, specials | 0x80000000])
+    a = np.concatenate([rng.integers(0, 1 << 32, 200_000, dtype=np.uint32),
+                        np.repeat(specials, specials.size)])
+    b = np.concatenate([rng.integers(0, 1 << 32, 200_000, dtype=np.uint32),
+                        np.tile(specials, specials.size)])
+    a, b = a.view(np.float32), b.view(np.float32)
+    f62, f71 = FixedPositFormat(width, 6, 2), FixedPositFormat(width, 7, 1)
+    assert value_class(f62) == value_class(f71)
+    got62 = batch.mul_float32_batch(f62, a, b).view(np.uint32)
+    got71 = batch.mul_float32_batch(f71, a, b).view(np.uint32)
+    assert np.array_equal(got62, got71), np.flatnonzero(got62 != got71)[:5]
